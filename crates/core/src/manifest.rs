@@ -16,7 +16,9 @@
 use drms_darray::chunks::{ChunkParams, Codec};
 use drms_slices::{Order, Range, Slice};
 
-use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
+use crate::wire::{
+    crc32, crc32_combine, crc32_shift, split_trailing_crc, Reader, WireError, Writer,
+};
 
 const MAGIC: [u8; 4] = *b"DMFT";
 /// Current manifest version. v1 had no integrity section and no trailing
@@ -75,22 +77,25 @@ impl FileIntegrity {
     /// one delta checkpointing cuts its content-hash chunks with — so an
     /// integrity chunk and a delta chunk of the same size are the same
     /// byte range.
+    ///
+    /// The bytes are read once: the whole-file CRC is folded from the chunk
+    /// CRCs with a CRC-32 combine, and the shift for the fixed chunk
+    /// length is computed once per file.
     pub fn compute(name: &str, bytes: &[u8], chunk: u64) -> FileIntegrity {
         let params = ChunkParams::new(chunk);
-        let len = bytes.len() as u64;
+        let (len, chunk) = (bytes.len() as u64, params.chunk_bytes());
+        let full_shift = crc32_shift(chunk);
+        let mut whole = 0;
         let crcs = (0..params.count(len))
             .map(|i| {
                 let (s, e) = params.range(len, i);
-                crc32(&bytes[s as usize..e as usize])
+                let crc = crc32(&bytes[s as usize..e as usize]);
+                let shift = if e - s == chunk { full_shift } else { crc32_shift(e - s) };
+                whole = crc32_combine(whole, crc, shift);
+                crc
             })
             .collect();
-        FileIntegrity {
-            name: name.to_string(),
-            len,
-            chunk: params.chunk_bytes(),
-            crcs,
-            whole: crc32(bytes),
-        }
+        FileIntegrity { name: name.to_string(), len, chunk, crcs, whole }
     }
 
     /// Byte range `[start, end)` of chunk `i` within the file.
@@ -267,7 +272,7 @@ fn read_range(r: &mut Reader<'_>) -> Result<Range, WireError> {
             Range::strided(lo, hi, step).map_err(|_| WireError::Truncated { what: "range" })
         }
         2 => {
-            let n = r.u64()? as usize;
+            let n = r.count_u64(8, "range indices")?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(r.i64()?);
@@ -288,7 +293,8 @@ pub fn write_slice(w: &mut Writer, s: &Slice) {
 
 /// Decodes a slice.
 pub fn read_slice(r: &mut Reader<'_>) -> Result<Slice, WireError> {
-    let rank = r.u32()? as usize;
+    // Smallest range: tag + an explicit index count of zero.
+    let rank = r.count_u32(9, "slice rank")?;
     let mut ranges = Vec::with_capacity(rank);
     for _ in 0..rank {
         ranges.push(read_range(r)?);
@@ -376,8 +382,11 @@ impl Manifest {
         };
         let ntasks = r.u64()? as usize;
         let sop = r.u64()?;
-        let narrays = r.u32()?;
-        let mut arrays = Vec::with_capacity(narrays as usize);
+        // Every count below is bounded by the bytes left over the entry's
+        // smallest encoding, so a crafted count cannot force a huge
+        // allocation. Smallest array entry: empty name, two tags, rank.
+        let narrays = r.count_u32(10, "array entries")?;
+        let mut arrays = Vec::with_capacity(narrays);
         for _ in 0..narrays {
             let name = r.string()?;
             let elem_code = r.u8()?;
@@ -391,13 +400,14 @@ impl Manifest {
         }
         let mut integrity = Vec::new();
         if version >= 2 {
-            let n = r.u32()? as usize;
+            // Smallest record: empty name, len, chunk, CRC count, whole CRC.
+            let n = r.count_u32(28, "integrity records")?;
             integrity.reserve(n);
             for _ in 0..n {
                 let name = r.string()?;
                 let len = r.u64()?;
                 let chunk = r.u64()?;
-                let ncrcs = r.u32()? as usize;
+                let ncrcs = r.count_u32(4, "chunk crcs")?;
                 let mut crcs = Vec::with_capacity(ncrcs);
                 for _ in 0..ncrcs {
                     crcs.push(r.u32()?);
@@ -408,13 +418,15 @@ impl Manifest {
         }
         let mut deltas = Vec::new();
         if version >= 3 {
-            let n = r.u32()? as usize;
+            // Smallest table: empty name, chunk size, stream length, count.
+            let n = r.count_u32(24, "delta tables")?;
             deltas.reserve(n);
             for _ in 0..n {
                 let name = r.string()?;
                 let chunk_bytes = r.u64()?;
                 let stream_len = r.u64()?;
-                let nchunks = r.u32()? as usize;
+                // Smallest chunk record: hash, lengths, codec, offset, tag.
+                let nchunks = r.count_u32(34, "chunk records")?;
                 let mut chunks = Vec::with_capacity(nchunks);
                 for _ in 0..nchunks {
                     let hash = ((r.u64()? as u128) << 64) | r.u64()? as u128;
@@ -700,5 +712,62 @@ mod tests {
 
         // Length mismatch marks everything corrupt.
         assert_eq!(fi.corrupt_chunks(&data[..999]).len(), 4);
+    }
+
+    #[test]
+    fn one_pass_whole_crc_equals_crc_of_file() {
+        let data = crate::wire::tests::seeded(3 * 4096 + 1, 11);
+        for len in [0, 100, 4095, 4096, 3 * 4096, 3 * 4096 + 1] {
+            let fi = FileIntegrity::compute("f", &data[..len], 4096);
+            assert_eq!(fi.whole, crc32(&data[..len]), "length {len}");
+            assert!(fi.matches(&data[..len]));
+        }
+    }
+
+    #[test]
+    fn integrity_records_are_pinned() {
+        // Values produced before the one-pass, sliced CRC: records already
+        // on disk keep verifying and the manifest bytes are unchanged.
+        let seeded = crate::wire::tests::seeded;
+        let files = [
+            ("empty", seeded(0, 1), 1024u64, 0),
+            ("segment", seeded(5000, 2), 1024, 0xCCB6_2582),
+            ("array-u", seeded(64 * 1024, 3), 4096, 0x6D52_56A8),
+            ("array-v", seeded(3 * 4096 + 1, 4), 4096, 0xA76F_B89C),
+            ("array-w", seeded((1 << 20) + 7, 5), 1 << 16, 0x7B61_8090),
+        ];
+        let mut integrity = Vec::new();
+        for (name, bytes, chunk, whole) in &files {
+            let fi = FileIntegrity::compute(name, bytes, *chunk);
+            assert_eq!(fi.whole, *whole, "{name}");
+            integrity.push(fi);
+        }
+        let m = Manifest {
+            app: "pin".into(),
+            kind: CkptKind::Drms,
+            ntasks: 4,
+            sop: 1,
+            arrays: Vec::new(),
+            integrity,
+            deltas: Vec::new(),
+        };
+        assert_eq!(
+            drms_darray::chunks::fnv128(&m.encode()),
+            0xd0bc_c697_58fd_6cfe_b6d2_a572_36da_8c8c
+        );
+    }
+
+    #[test]
+    fn crafted_counts_are_errors_not_aborts() {
+        // A 35-byte v1 manifest (no self-CRC) claiming 2^32 - 1 arrays.
+        let mut w = Writer::with_header(MAGIC, 1);
+        w.string("bt");
+        w.u8(0);
+        w.u64(4);
+        w.u64(1);
+        w.u32(u32::MAX);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 35);
+        assert!(matches!(Manifest::decode(&bytes), Err(WireError::Truncated { .. })));
     }
 }

@@ -184,8 +184,9 @@ impl MpmdManifest {
             return Err(WireError::BadVersion(version));
         }
         let app = r.string()?;
-        let n = r.u32()?;
-        let mut components = Vec::with_capacity(n as usize);
+        // Smallest component: two empty strings and a task count.
+        let n = r.count_u32(16, "mpmd components")?;
+        let mut components = Vec::with_capacity(n);
         for _ in 0..n {
             components.push(MpmdComponent {
                 name: r.string()?,
@@ -239,6 +240,14 @@ mod tests {
         assert_eq!(d, m);
         assert_eq!(d.component("atmos").unwrap().ntasks, 2);
         assert!(d.component("ice").is_none());
+    }
+
+    #[test]
+    fn crafted_component_count_is_an_error() {
+        let mut w = Writer::with_header(MAGIC, VERSION);
+        w.string("coupled");
+        w.u32(u32::MAX);
+        assert!(matches!(MpmdManifest::decode(&w.finish()), Err(WireError::Truncated { .. })));
     }
 
     #[test]

@@ -60,33 +60,122 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// computed at compile time. CRC-32 guarantees detection of any single-bit
-/// or single-byte error and any burst up to 32 bits — exactly the corruption
-/// classes the storage-resilience layer must catch.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3) polynomial, bit-reflected. CRC-32 guarantees
+/// detection of any single-bit or single-byte error and any burst up to 32
+/// bits — exactly the corruption classes the storage-resilience layer must
+/// catch.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 lookup tables, computed at compile time. `CRC32_TABLES[0]`
+/// is the classic byte table; `CRC32_TABLES[k][b]` is the CRC contribution
+/// of byte `b` followed by `k` zero bytes, so one step folds 16 input bytes
+/// with 16 independent lookups instead of 16 dependent ones.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let a = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][(a >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// Product of two polynomials modulo the CRC polynomial, both in the
+/// reflected bit order CRC-32 uses (bit 31 is x^0).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    p
+}
+
+/// `X2N[k]` is x^(2^k) modulo the CRC polynomial, for every `k` that
+/// [`crc32_shift`] reaches: 3 plus the bit index of a `u64` length.
+const X2N: [u32; 67] = {
+    let mut t = [0u32; 67];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 67 {
+        t[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// The operator that shifts a CRC past `len` further bytes: x^(8·len)
+/// modulo the CRC polynomial. Compute it once and reuse it with
+/// [`crc32_combine`] when many pieces share one length.
+pub(crate) fn crc32_shift(len: u64) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut n = len;
+    let mut k = 3; // 8·len = len·2^3
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// CRC-32 of `a‖b` from `crc32(a)`, `crc32(b)` and `shift =
+/// crc32_shift(b.len())`, without touching the bytes.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, shift: u32) -> u32 {
+    multmodp(shift, crc_a) ^ crc_b
 }
 
 /// Splits `buf` into its payload and a verified trailing CRC-32; errors when
@@ -209,7 +298,7 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(WireError::Truncated { what });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -259,10 +348,41 @@ impl<'a> Reader<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+
+    /// Reads a `u32` element count and checks it against the bytes left:
+    /// that many entries of at least `min_bytes` encoded bytes each must
+    /// fit in what remains. The result is safe to reserve, so a crafted
+    /// count fails with [`WireError::Truncated`] instead of aborting on a
+    /// huge allocation.
+    pub(crate) fn count_u32(
+        &mut self,
+        min_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, WireError> {
+        let n = self.u32()?;
+        self.fit(n.into(), min_bytes, what)
+    }
+
+    /// As [`Reader::count_u32`], for a `u64` count.
+    pub(crate) fn count_u64(
+        &mut self,
+        min_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, WireError> {
+        let n = self.u64()?;
+        self.fit(n, min_bytes, what)
+    }
+
+    fn fit(&self, n: u64, min_bytes: usize, what: &'static str) -> Result<usize, WireError> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() / min_bytes.max(1) => Ok(n),
+            _ => Err(WireError::Truncated { what }),
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -327,6 +447,77 @@ mod tests {
         // Standard check value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC-32, sharing no table with the kernel: the
+    /// reference the sliced kernel must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    /// xorshift64 bytes: a fixed, dependency-free test buffer.
+    pub(crate) fn seeded(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_oracle_at_every_length_and_offset() {
+        let buf = seeded(256 + 16, 0xC0FFEE);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        for off in 0..16 {
+            for len in 0..=256 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {off} length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_combine_equals_crc_of_concatenation() {
+        let combine = |a: u32, b: u32, len: usize| crc32_combine(a, b, crc32_shift(len as u64));
+        let buf = seeded(5000, 0xBEEF);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut splits = vec![(0, 0), (0, 5000), (5000, 5000), (1, 1), (16, 4096)];
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let a = (x % 5001) as usize;
+            let b = a + ((x >> 32) as usize % (5001 - a));
+            splits.push((a, b));
+        }
+        for (a, b) in splits {
+            let (head, tail) = (&buf[..a], &buf[a..b]);
+            assert_eq!(
+                combine(crc32(head), crc32(tail), tail.len()),
+                crc32(&buf[..b]),
+                "split {a}..{b}"
+            );
+        }
+        // Shifting past zero bytes is the identity.
+        assert_eq!(combine(0xDEAD_BEEF, 0, 0), 0xDEAD_BEEF);
+    }
+
+    #[test]
+    fn crc32_of_fixed_mebibyte_is_pinned() {
+        // Value produced by the byte-at-a-time kernel this one replaced:
+        // CRCs already on disk keep verifying.
+        assert_eq!(crc32(&seeded(1 << 20, 0x5EED)), 0x6B3E_6F76);
     }
 
     #[test]
