@@ -3,18 +3,14 @@
 
 use std::collections::VecDeque;
 
-use drms_core::chaos::CrashPoint;
-use drms_core::commit::{
-    compute_integrity_staged, publish_data, publish_manifest, staged_manifest_path, staging_prefix,
-};
+use drms_core::chaos::CommitPoints;
+use drms_core::commit::{commit_staged, stage_segment, staging_prefix};
 use drms_core::crash_point;
-use drms_core::manifest::{
-    array_path, delta_path, manifest_path, segment_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
-};
+use drms_core::manifest::{array_path, delta_path, manifest_path, ArrayEntry, CkptKind, Manifest};
 use drms_core::segment::DataSegment;
 use drms_core::{CheckpointArray, CoreError, Drms};
 use drms_darray::stream::assemble_pieces;
-use drms_delta::{DeltaChain, DeltaConfig, StageStats};
+use drms_delta::{record_chain, record_stage, DeltaChain, DeltaConfig, StageStats};
 use drms_memtier::{spill_to_staging, store_captured, MemTier};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
@@ -242,24 +238,22 @@ impl AsyncCheckpointer {
         let stalled = self.await_slot(ctx);
         drms.advance_sop();
         ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptEnter, false)?;
+        crash_point(ctx, fs, CommitPoints::FOREGROUND.enter, false)?;
         let t_sop = ctx.now();
 
         let snap = Snapshot::capture(ctx, drms, base_segment, arrays)?;
         ctx.barrier();
         let t_snap = ctx.now();
-        crash_point(ctx, fs, CrashPoint::FlushArmed, false)?;
+        crash_point(ctx, fs, CommitPoints::DETACHED.enter, false)?;
 
-        let prefix_owned = prefix.to_string();
-        let (flushed, d) = ctx.run_detached(|ctx| flush_full(ctx, fs, tier, &prefix_owned, &snap));
+        let (flushed, d) = ctx.run_detached(|ctx| flush_full(ctx, fs, tier, prefix, &snap));
         if let Err(e) = flushed {
             if ctx.rank() == 0 && ctx.recorder().enabled() {
                 ctx.recorder().counter_add_at(t_snap, 0, names::ASYNC_FLUSH_ABORTS, None, 1);
             }
             return Err(e);
         }
-        let report = self.arm(ctx, prefix, &snap, t_sop, t_snap, d, stalled, None);
-        Ok(report)
+        Ok(self.arm(ctx, prefix, snap.sop, snap.total_bytes, t_sop, t_snap, d, stalled, None))
     }
 
     /// Asynchronous incremental checkpoint: the chunk diff/dedup pass runs
@@ -292,7 +286,7 @@ impl AsyncCheckpointer {
         drms.advance_sop();
         let full = chain.begin(dcfg);
         ctx.barrier();
-        if let Err(e) = crash_point(ctx, fs, CrashPoint::CkptEnter, false) {
+        if let Err(e) = crash_point(ctx, fs, CommitPoints::FOREGROUND.enter, false) {
             chain.abort();
             return Err(e.into());
         }
@@ -308,14 +302,13 @@ impl AsyncCheckpointer {
             };
         ctx.barrier();
         let t_snap = ctx.now();
-        emit_delta_obs(ctx, prefix, &plan, t_sop, t_snap, full);
-        if let Err(e) = crash_point(ctx, fs, CrashPoint::FlushArmed, false) {
+        record_stage(ctx, prefix, &plan.stats, full, t_sop, t_snap);
+        if let Err(e) = crash_point(ctx, fs, CommitPoints::DETACHED.enter, false) {
             chain.abort();
             return Err(e.into());
         }
 
-        let prefix_owned = prefix.to_string();
-        let (flushed, d) = ctx.run_detached(|ctx| flush_delta(ctx, fs, &prefix_owned, &plan));
+        let (flushed, d) = ctx.run_detached(|ctx| flush_delta(ctx, fs, prefix, &plan));
         if let Err(e) = flushed {
             chain.abort();
             if ctx.rank() == 0 && ctx.recorder().enabled() {
@@ -325,17 +318,9 @@ impl AsyncCheckpointer {
         }
         chain.commit(prefix);
         let summary = DeltaSummary { full, stats: plan.stats, chain_depth: chain.depth() };
-        if ctx.rank() == 0 && ctx.recorder().enabled() {
-            let rec = ctx.recorder();
-            rec.gauge_set_at(t_snap, 0, names::DELTA_CHAIN_DEPTH, 0, summary.chain_depth as f64);
-            let total = plan.stats.dirty + plan.stats.clean;
-            let ratio = if total == 0 { 0.0 } else { plan.stats.dirty as f64 / total as f64 };
-            rec.gauge_set_at(t_snap, 0, names::DELTA_DIRTY_RATIO, 0, ratio);
-        }
-        let mut report =
-            self.arm(ctx, prefix, &delta_snapshot_view(&plan), t_sop, t_snap, d, stalled, None);
-        report.delta = Some(summary);
-        Ok(report)
+        record_chain(ctx, t_snap, summary.chain_depth, plan.stats.dirty_ratio());
+        let (sop, bytes) = (plan.manifest.sop, plan.total_bytes);
+        Ok(self.arm(ctx, prefix, sop, bytes, t_sop, t_snap, d, stalled, Some(summary)))
     }
 
     /// Books a completed detached flush on the flusher timeline and emits
@@ -348,7 +333,8 @@ impl AsyncCheckpointer {
         &mut self,
         ctx: &Ctx,
         prefix: &str,
-        snap: &Snapshot,
+        sop: u64,
+        bytes: u64,
         t_sop: f64,
         t_snap: f64,
         d: f64,
@@ -360,11 +346,11 @@ impl AsyncCheckpointer {
         self.free_at = finish;
         self.flights.push_back(Flight {
             prefix: prefix.to_string(),
-            sop: snap.sop,
+            sop,
             t_snap,
             start,
             finish,
-            bytes: snap.total_bytes,
+            bytes,
             stall: 0.0,
         });
         if ctx.rank() == 0 && ctx.recorder().enabled() {
@@ -372,7 +358,7 @@ impl AsyncCheckpointer {
             rec.span_start(t_sop, 0, Phase::Async, "snapshot");
             rec.span_end(t_snap, 0, Phase::Async, "snapshot");
             rec.counter_add_at(t_snap, 0, names::ASYNC_SNAPSHOTS, None, 1);
-            rec.counter_add_at(t_snap, 0, names::ASYNC_SNAPSHOT_BYTES, None, snap.total_bytes);
+            rec.counter_add_at(t_snap, 0, names::ASYNC_SNAPSHOT_BYTES, None, bytes);
             rec.gauge_set_at(t_snap, 0, names::ASYNC_INFLIGHT, 0, self.flights.len() as f64);
             rec.span_start(t_snap, 0, Phase::Async, "flush");
             rec.span_end(finish, 0, Phase::Async, "flush");
@@ -381,12 +367,12 @@ impl AsyncCheckpointer {
             rec.event(t_snap, 0, Phase::Async, &format!("AsyncArmed {prefix}"));
         }
         AsyncReport {
-            sop: snap.sop,
+            sop,
             snapshot_seconds: t_snap - t_sop,
             flush_seconds: d,
             lag: finish - t_snap,
             finish,
-            bytes: snap.total_bytes,
+            bytes,
             stalled,
             delta,
         }
@@ -395,11 +381,11 @@ impl AsyncCheckpointer {
 
 /// The background flush of a full snapshot: through the replica tier when
 /// one is attached (replicate, seal, spill resident pieces to staging),
-/// directly to staged PIOFS files otherwise; then the two-phase publish
-/// tail every checkpoint path shares. Runs inside a detached virtual-time
-/// region; the crash points it consults are the `Flush*` family, so chaos
-/// campaigns can cut the flush at every stage without perturbing blocking
-/// checkpoints.
+/// directly to staged PIOFS files otherwise; then the staged-commit
+/// pipeline every checkpoint path shares. Runs inside a detached
+/// virtual-time region under the [`CommitPoints::DETACHED`] family, so
+/// chaos campaigns can cut the flush at every stage without perturbing
+/// blocking checkpoints.
 fn flush_full(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -407,27 +393,23 @@ fn flush_full(
     prefix: &str,
     snap: &Snapshot,
 ) -> Result<u64> {
-    let staging = staging_prefix(prefix);
+    let points = CommitPoints::DETACHED;
     if let Some(tier) = tier {
         let manifest = snap.manifest(Vec::new()).encode();
         let file_lens = snap.file_lens();
         let pieces = snap.tier_pieces(tier.piece_bytes());
         store_captured(ctx, tier, prefix, &snap.app, snap.sop, manifest, &file_lens, pieces)?;
-        crash_point(ctx, fs, CrashPoint::FlushAfterSegment, true)?;
+        crash_point(ctx, fs, points.after_segment, true)?;
         spill_to_staging(ctx, fs, tier, prefix)?;
         ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::FlushAfterArray, true)?;
+        crash_point(ctx, fs, points.after_array, true)?;
     } else {
-        if ctx.rank() == 0 {
-            let seg = snap.segment.as_ref().expect("rank 0 captured the segment");
-            let path = segment_path(&staging);
-            fs.create(&path);
-            fs.write_at(ctx, &path, 0, seg);
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::FlushAfterSegment, true)?;
+        stage_segment(ctx, fs, prefix, &points, || {
+            snap.segment.as_ref().expect("rank 0 captured the segment")
+        })?;
+        let staging = staging_prefix(prefix);
         for a in &snap.arrays {
-            let path = array_path(&staging, &a.name);
+            let path = array_path(&staging, &a.entry.name);
             if ctx.rank() == 0 {
                 fs.create(&path);
             }
@@ -438,68 +420,36 @@ fn flush_full(
                 .map(|p| WriteReq { path: path.clone(), offset: p.offset, data: p.data.clone() })
                 .collect();
             fs.collective_write(ctx, reqs);
-            crash_point(ctx, fs, CrashPoint::FlushAfterArray, true)?;
+            crash_point(ctx, fs, points.after_array, true)?;
         }
         ctx.barrier();
     }
-
-    drms_core::stage_flight_rings(ctx, fs, &staging);
-    if ctx.rank() == 0 {
-        let manifest = snap.manifest(compute_integrity_staged(fs, prefix));
-        let smp = staged_manifest_path(prefix);
-        fs.create(&smp);
-        fs.write_at(ctx, &smp, 0, &manifest.encode());
-    }
-    crash_point(ctx, fs, CrashPoint::FlushStagedManifest, true)?;
-    if ctx.rank() == 0 {
-        publish_data(fs, prefix);
-    }
-    crash_point(ctx, fs, CrashPoint::FlushMidPublish, true)?;
-    if ctx.rank() == 0 {
-        let committed = publish_manifest(fs, prefix);
-        debug_assert!(committed, "staged manifest must exist at the commit point");
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-        }
-        if ctx.recorder().flight_enabled() {
-            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-        }
-        if let Some(tier) = tier {
-            tier.mark_spilled(prefix);
-        }
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::FlushCommitted, false)?;
+    commit_staged(
+        ctx,
+        fs,
+        prefix,
+        &points,
+        |integrity| snap.manifest(integrity),
+        || {
+            if let Some(tier) = tier {
+                tier.mark_spilled(prefix);
+            }
+        },
+    )?;
     Ok(snap.total_bytes)
 }
 
 /// Everything the delta flush writes, staged at the SOP: the chunk diff
 /// runs in the foreground so the digests describe the snapshot.
 struct DeltaPlan {
-    app: String,
-    sop: u64,
-    ntasks: usize,
+    /// The v3 manifest, less its integrity records (chunk tables on rank 0).
+    manifest: Manifest,
     /// Encoded segment without the local-sections region (rank 0).
     segment: Option<Vec<u8>>,
-    entries: Vec<ArrayEntry>,
     /// Pack bytes per array, in declaration order (rank 0).
     packs: Vec<(String, Vec<u8>)>,
-    deltas: Vec<ArrayDelta>,
     stats: StageStats,
     total_bytes: u64,
-}
-
-/// A snapshot-shaped view of a delta plan, for shared flight bookkeeping.
-fn delta_snapshot_view(plan: &DeltaPlan) -> Snapshot {
-    Snapshot {
-        app: plan.app.clone(),
-        sop: plan.sop,
-        ntasks: plan.ntasks,
-        segment: None,
-        arrays: Vec::new(),
-        local_bytes: 0,
-        total_bytes: plan.total_bytes,
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -514,7 +464,6 @@ fn capture_delta(
     arrays: &[&dyn CheckpointArray],
     full: bool,
 ) -> Result<DeltaPlan> {
-    let cfg = drms.cfg();
     let params = dcfg.params(fs);
     let mut segment = None;
     let mut captured = 0u64;
@@ -523,17 +472,18 @@ fn capture_delta(
         captured += bytes.len() as u64;
         segment = Some(bytes);
     }
-    let mut entries = Vec::with_capacity(arrays.len());
+    let mut manifest = Manifest {
+        app: drms.cfg().app.clone(),
+        kind: CkptKind::DrmsDelta,
+        ntasks: ctx.ntasks(),
+        sop: drms.sop(),
+        arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
+        integrity: Vec::new(),
+        deltas: Vec::new(),
+    };
     let mut packs = Vec::new();
-    let mut deltas = Vec::new();
     let mut stats = StageStats::default();
     for a in arrays {
-        entries.push(ArrayEntry {
-            name: a.array_name().to_string(),
-            elem_code: a.elem_code(),
-            domain: a.domain().clone(),
-            order: a.order(),
-        });
         let pieces = a.stream_pieces(ctx, 1)?;
         if ctx.rank() == 0 {
             let stream = assemble_pieces(pieces);
@@ -542,7 +492,7 @@ fn capture_delta(
                 chain.stage_array(fs, prefix, a.array_name(), &stream, params, full, dcfg.compress);
             stats.add(s);
             packs.push((a.array_name().to_string(), pack));
-            deltas.push(table);
+            manifest.deltas.push(table);
         }
     }
     // The diff pass reads the full stream on the representative task:
@@ -550,53 +500,19 @@ fn capture_delta(
     ctx.charge(captured as f64 / ctx.cost().memcpy_bw);
     let (per_task, _) = ctx.exchange(captured);
     let total_bytes = per_task.iter().sum();
-    Ok(DeltaPlan {
-        app: cfg.app.clone(),
-        sop: drms.sop(),
-        ntasks: ctx.ntasks(),
-        segment,
-        entries,
-        packs,
-        deltas,
-        stats,
-        total_bytes,
-    })
+    Ok(DeltaPlan { manifest, segment, packs, stats, total_bytes })
 }
 
-/// Emits the delta staging observability the blocking
-/// [`drms_delta::delta_checkpoint`] emits, anchored at the foreground
-/// staging window (the diff really does run there).
-fn emit_delta_obs(ctx: &Ctx, prefix: &str, plan: &DeltaPlan, t_sop: f64, t_snap: f64, full: bool) {
-    if ctx.rank() != 0 || !ctx.recorder().enabled() {
-        return;
-    }
-    let rec = ctx.recorder();
-    rec.span_start(t_sop, 0, Phase::Delta, prefix);
-    rec.counter_add_at(t_snap, 0, names::DELTA_DIRTY_CHUNKS, None, plan.stats.dirty);
-    rec.counter_add_at(t_snap, 0, names::DELTA_CLEAN_CHUNKS, None, plan.stats.clean);
-    rec.counter_add_at(t_snap, 0, names::DELTA_DEDUP_HITS, None, plan.stats.dedup);
-    rec.counter_add_at(t_snap, 0, names::DELTA_BYTES_WRITTEN, None, plan.stats.pack_bytes);
-    rec.counter_add_at(t_snap, 0, names::DELTA_COMPRESSED_BYTES, None, plan.stats.saved);
-    if full {
-        rec.counter_add_at(t_snap, 0, names::DELTA_FULL_REWRITES, None, 1);
-    }
-    rec.span_end(t_snap, 0, Phase::Delta, prefix);
-}
-
-/// The background flush of a staged delta plan: segment, pack files, v3
-/// manifest, then the shared two-phase publish tail — the same `Flush*`
-/// crash-point sequence as the full path.
+/// The background flush of a staged delta plan: segment and pack files,
+/// then the staged-commit pipeline under the same
+/// [`CommitPoints::DETACHED`] family as the full path.
 fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: &DeltaPlan) -> Result<u64> {
+    let points = CommitPoints::DETACHED;
+    stage_segment(ctx, fs, prefix, &points, || {
+        plan.segment.as_ref().expect("rank 0 captured the segment")
+    })?;
     let staging = staging_prefix(prefix);
-    if ctx.rank() == 0 {
-        let seg = plan.segment.as_ref().expect("rank 0 captured the segment");
-        let path = segment_path(&staging);
-        fs.create(&path);
-        fs.write_at(ctx, &path, 0, seg);
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::FlushAfterSegment, true)?;
-    for i in 0..plan.entries.len() {
+    for i in 0..plan.manifest.arrays.len() {
         if ctx.rank() == 0 {
             let (name, pack) = &plan.packs[i];
             let path = delta_path(&staging, name);
@@ -605,40 +521,10 @@ fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: &DeltaPlan) -> Res
                 fs.write_at(ctx, &path, 0, pack);
             }
         }
-        crash_point(ctx, fs, CrashPoint::FlushAfterArray, true)?;
+        crash_point(ctx, fs, points.after_array, true)?;
     }
     ctx.barrier();
-    drms_core::stage_flight_rings(ctx, fs, &staging);
-    if ctx.rank() == 0 {
-        let manifest = Manifest {
-            app: plan.app.clone(),
-            kind: CkptKind::DrmsDelta,
-            ntasks: plan.ntasks,
-            sop: plan.sop,
-            arrays: plan.entries.clone(),
-            integrity: compute_integrity_staged(fs, prefix),
-            deltas: plan.deltas.clone(),
-        };
-        let smp = staged_manifest_path(prefix);
-        fs.create(&smp);
-        fs.write_at(ctx, &smp, 0, &manifest.encode());
-    }
-    crash_point(ctx, fs, CrashPoint::FlushStagedManifest, true)?;
-    if ctx.rank() == 0 {
-        publish_data(fs, prefix);
-    }
-    crash_point(ctx, fs, CrashPoint::FlushMidPublish, true)?;
-    if ctx.rank() == 0 {
-        let committed = publish_manifest(fs, prefix);
-        debug_assert!(committed, "staged manifest must exist at the commit point");
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-        }
-        if ctx.recorder().flight_enabled() {
-            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-        }
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::FlushCommitted, false)?;
+    let manifest = |integrity| Manifest { integrity, ..plan.manifest.clone() };
+    commit_staged(ctx, fs, prefix, &points, manifest, || {})?;
     Ok(plan.stats.pack_bytes)
 }

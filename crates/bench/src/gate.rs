@@ -11,7 +11,7 @@
 //! * [`Gate`] collects soft check failures across a run and reports them
 //!   all at the end, instead of stopping at the first.
 //! * [`baseline_gate`] is the bench-baseline regression check: compare a
-//!   [`BenchResult`](crate::json::BenchResult) against a committed
+//!   [`BenchResult`] against a committed
 //!   baseline file with a relative tolerance, with `--bless` rewriting
 //!   the baseline.
 

@@ -91,21 +91,69 @@ crash_points! {
     RecoverCommitted = "recover_committed";
 }
 
+/// The crash-point family of one staged-commit pipeline run: which
+/// [`CrashPoint`] fires at each of its six stages. A checkpoint writer
+/// picks one family and every stage consults it, so the foreground
+/// (`Ckpt*`) and detached (`Flush*`) checkpoints name the same stages by
+/// construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitPoints {
+    /// Entered (foreground) or armed (detached): nothing staged yet.
+    pub enter: CrashPoint,
+    /// Data segment staged.
+    pub after_segment: CrashPoint,
+    /// One array staged (consulted once per array).
+    pub after_array: CrashPoint,
+    /// Data and manifest staged, nothing published.
+    pub staged_manifest: CrashPoint,
+    /// Data published, manifest rename not yet executed.
+    pub mid_publish: CrashPoint,
+    /// Manifest renamed into place: committed.
+    pub committed: CrashPoint,
+}
+
+impl CommitPoints {
+    /// Blocking checkpoints, on the application's critical path.
+    pub const FOREGROUND: CommitPoints = CommitPoints {
+        enter: CrashPoint::CkptEnter,
+        after_segment: CrashPoint::CkptAfterSegment,
+        after_array: CrashPoint::CkptAfterArray,
+        staged_manifest: CrashPoint::CkptStagedManifest,
+        mid_publish: CrashPoint::CkptMidPublish,
+        committed: CrashPoint::CkptCommitted,
+    };
+
+    /// The asynchronous pipeline's background flush.
+    pub const DETACHED: CommitPoints = CommitPoints {
+        enter: CrashPoint::FlushArmed,
+        after_segment: CrashPoint::FlushAfterSegment,
+        after_array: CrashPoint::FlushAfterArray,
+        staged_manifest: CrashPoint::FlushStagedManifest,
+        mid_publish: CrashPoint::FlushMidPublish,
+        committed: CrashPoint::FlushCommitted,
+    };
+
+    /// The family's points, in stage order.
+    pub const fn all(&self) -> [CrashPoint; 6] {
+        [
+            self.enter,
+            self.after_segment,
+            self.after_array,
+            self.staged_manifest,
+            self.mid_publish,
+            self.committed,
+        ]
+    }
+}
+
 impl CrashPoint {
     /// Whether this point lives inside the asynchronous background flush
-    /// (consulted only by `drms-async`'s overlapped checkpoints). Blocking
-    /// checkpoint/restart sweeps skip these — an armed flush-side point can
-    /// never fire on a path that takes no overlapped checkpoints.
+    /// (the [`CommitPoints::DETACHED`] family, consulted only by
+    /// `drms-async`'s overlapped checkpoints). Blocking checkpoint/restart
+    /// sweeps skip these — an armed flush-side point can never fire on a
+    /// path that takes no overlapped checkpoints.
     pub fn is_flush_side(&self) -> bool {
-        matches!(
-            self,
-            CrashPoint::FlushArmed
-                | CrashPoint::FlushAfterSegment
-                | CrashPoint::FlushAfterArray
-                | CrashPoint::FlushStagedManifest
-                | CrashPoint::FlushMidPublish
-                | CrashPoint::FlushCommitted
-        )
+        CommitPoints::DETACHED.all().contains(self)
     }
 
     /// Whether this point lives inside the localized-recovery protocol
@@ -203,6 +251,16 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), CrashPoint::ALL.len(), "duplicate crash-point name");
+    }
+
+    #[test]
+    fn commit_families_are_disjoint_and_named_by_prefix() {
+        let fg = CommitPoints::FOREGROUND.all();
+        let bg = CommitPoints::DETACHED.all();
+        assert!(fg.iter().all(|p| p.as_str().starts_with("ckpt_") && !p.is_flush_side()));
+        assert!(bg.iter().all(|p| p.as_str().starts_with("flush_") && p.is_flush_side()));
+        let flush_side = CrashPoint::ALL.iter().filter(|p| p.is_flush_side()).count();
+        assert_eq!(flush_side, bg.len());
     }
 
     #[test]

@@ -19,14 +19,25 @@
 //!    Renames are atomic namespace operations, so the checkpoint flips from
 //!    "does not exist" to "complete and verified-able" in one step.
 //!
-//! Every helper here is a rank-0 control-plane operation (no clock): the
+//! Every checkpoint writer — blocking full and incremental, the delta
+//! writer, and both asynchronous flushes — stages its own data (with
+//! [`stage_segment`] for the shared segment) and then hands the rest of
+//! the operation to [`commit_staged`], which runs steps 2 and 3 with the
+//! crash points of the writer's [`CommitPoints`] family between them.
+//!
+//! The publish helpers are rank-0 control-plane operations (no clock): the
 //! data movement was already priced while staging, and the paper's PIOFS
 //! charges nothing for metadata renames.
 
+use drms_chaos::CommitPoints;
+use drms_msg::Ctx;
+use drms_obs::{names, Phase};
 use drms_piofs::Piofs;
 
-use crate::drms::integrity_chunk;
-use crate::manifest::{manifest_path, FileIntegrity};
+use crate::drms::{integrity_chunk, stage_flight_rings};
+use crate::inject::crash_point;
+use crate::manifest::{manifest_path, segment_path, FileIntegrity, Manifest};
+use crate::Result;
 
 /// The staging prefix for checkpoints being written to `prefix`. Chosen so
 /// no staged file can collide with a committed checkpoint path and so
@@ -43,21 +54,32 @@ pub fn staged_manifest_path(prefix: &str) -> String {
     format!("{}/manifest.tmp", staging_prefix(prefix))
 }
 
+/// Computes integrity records for every data file currently under `prefix`
+/// (manifest and quarantine markers excluded), in sorted-name order so the
+/// encoded manifest is deterministic. Writer-side (rank 0) control-plane
+/// operation. Public so out-of-crate checkpoint writers (the memory tier's
+/// spill) can stamp their manifests the same way.
+pub fn compute_integrity(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
+    integrity_of(fs, &[format!("{prefix}/")])
+}
+
 /// Computes integrity records for the checkpoint as it will exist *after*
-/// publication: the union of data files staged under `{prefix}.tmp` and
-/// files already committed under `prefix` (incremental checkpoints leave
-/// unchanged arrays in place), with staged files winning name collisions.
-/// Sorted by name so the encoded manifest is deterministic.
-pub fn compute_integrity_staged(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
+/// publication: the union of data files already committed under `prefix`
+/// (incremental checkpoints leave unchanged arrays in place) and files
+/// staged under `{prefix}.tmp`, with staged files winning name collisions.
+fn compute_integrity_staged(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
+    integrity_of(fs, &[format!("{prefix}/"), format!("{}/", staging_prefix(prefix))])
+}
+
+/// Integrity records for the data files under `dirs`, keyed by name
+/// relative to their dir (a later dir wins a collision) and sorted by it.
+fn integrity_of(fs: &Piofs, dirs: &[String]) -> Vec<FileIntegrity> {
     let chunk = integrity_chunk(fs);
-    let staged_dir = format!("{}/", staging_prefix(prefix));
-    let final_dir = format!("{prefix}/");
     let mut by_name: std::collections::BTreeMap<String, String> = Default::default();
-    for info in fs.list(&final_dir) {
-        by_name.insert(info.path[final_dir.len()..].to_string(), info.path);
-    }
-    for info in fs.list(&staged_dir) {
-        by_name.insert(info.path[staged_dir.len()..].to_string(), info.path);
+    for dir in dirs {
+        for info in fs.list(dir) {
+            by_name.insert(info.path[dir.len()..].to_string(), info.path);
+        }
     }
     by_name
         .into_iter()
@@ -75,7 +97,7 @@ pub fn compute_integrity_staged(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> 
 /// explicit uncommit), so a crash between here and [`publish_manifest`]
 /// leaves only manifest-less data for the orphan sweep. Returns the number
 /// of files moved. Rank-0 control-plane operation.
-pub fn publish_data(fs: &Piofs, prefix: &str) -> usize {
+fn publish_data(fs: &Piofs, prefix: &str) -> usize {
     fs.delete(&manifest_path(prefix));
     let staged_dir = format!("{}/", staging_prefix(prefix));
     let mut moved = 0;
@@ -94,10 +116,89 @@ pub fn publish_data(fs: &Piofs, prefix: &str) -> usize {
 /// The commit point: renames the staged manifest to `{prefix}/manifest`,
 /// atomically flipping the checkpoint to committed. Returns `false` when
 /// there is no staged manifest or a committed manifest still occupies the
-/// target (i.e. [`publish_data`] did not run). Rank-0 control-plane
-/// operation.
+/// target (the previous manifest was not deleted first). Rank-0
+/// control-plane operation.
 pub fn publish_manifest(fs: &Piofs, prefix: &str) -> bool {
     fs.rename(&staged_manifest_path(prefix), &manifest_path(prefix))
+}
+
+/// Stages the shared data segment: rank 0 writes the bytes `segment`
+/// returns (called on rank 0 only) to `{prefix}.tmp/segment`, every task
+/// meets at a barrier, then the family's `after_segment` point fires.
+pub fn stage_segment<B: AsRef<[u8]>>(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    prefix: &str,
+    points: &CommitPoints,
+    segment: impl FnOnce() -> B,
+) -> Result<()> {
+    if ctx.rank() == 0 {
+        let path = segment_path(&staging_prefix(prefix));
+        let bytes = segment();
+        fs.create(&path);
+        fs.write_at(ctx, &path, 0, bytes.as_ref());
+    }
+    ctx.barrier();
+    crash_point(ctx, fs, points.after_segment, true)
+}
+
+/// The staged-commit pipeline: everything a checkpoint does once its data
+/// is staged under `{prefix}.tmp` and every task has met at a barrier.
+///
+/// 1. Every rank's flight ring is staged ([`stage_flight_rings`]).
+/// 2. Rank 0 stages the manifest `manifest` builds from the staged
+///    integrity records (called on rank 0 only).
+/// 3. `staged_manifest` fires; rank 0 publishes the data, uncommitting any
+///    previous checkpoint at `prefix`; `mid_publish` fires.
+/// 4. Rank 0 renames the manifest into place — the commit point — counts
+///    it, marks it for the flight recorder, and runs `on_commit`.
+/// 5. Every task meets at a barrier, then `committed` fires.
+///
+/// Returns the virtual time right after that barrier. No barrier precedes
+/// the publish: only rank 0 acts in that window (renames are
+/// control-plane), and the crash-point vote is itself a synchronization
+/// when a controller is armed, so a chaos-free checkpoint pays exactly one
+/// barrier here.
+pub fn commit_staged(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    prefix: &str,
+    points: &CommitPoints,
+    manifest: impl FnOnce(Vec<FileIntegrity>) -> Manifest,
+    on_commit: impl FnOnce(),
+) -> Result<f64> {
+    stage_flight_rings(ctx, fs, &staging_prefix(prefix));
+    if ctx.rank() == 0 {
+        // Staged as `manifest.tmp`: decodable and complete, but invisible
+        // to checkpoint discovery until published.
+        let bytes = manifest(compute_integrity_staged(fs, prefix)).encode();
+        let smp = staged_manifest_path(prefix);
+        fs.create(&smp);
+        fs.write_at(ctx, &smp, 0, &bytes);
+    }
+    crash_point(ctx, fs, points.staged_manifest, true)?;
+    if ctx.rank() == 0 {
+        publish_data(fs, prefix);
+    }
+    crash_point(ctx, fs, points.mid_publish, true)?;
+    if ctx.rank() == 0 {
+        let committed = publish_manifest(fs, prefix);
+        debug_assert!(committed, "staged manifest must exist at the commit point");
+        if ctx.recorder().enabled() {
+            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
+        }
+        if ctx.recorder().flight_enabled() {
+            // Durable-progress marker for the flight recorder: the
+            // stitched timeline attributes everything after the last
+            // `commit:` of a killed incarnation as lost work.
+            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
+        }
+        on_commit();
+    }
+    ctx.barrier();
+    let t = ctx.now();
+    crash_point(ctx, fs, points.committed, false)?;
+    Ok(t)
 }
 
 /// Abandons a staged checkpoint: deletes everything under its staging

@@ -1,22 +1,19 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use drms_chaos::CrashPoint;
+use drms_chaos::{CommitPoints, CrashPoint};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 
-use crate::commit::{
-    compute_integrity_staged, publish_data, publish_manifest, staged_manifest_path, staging_prefix,
-};
-use crate::handle::{encode_locals, CheckpointArray};
+use crate::commit::{commit_staged, stage_segment, staging_prefix};
+use crate::handle::{encode_segment, CheckpointArray};
 use crate::inject::crash_point;
 use crate::manifest::{
-    array_path, manifest_path, segment_path, task_segment_path, ArrayEntry, CkptKind,
-    FileIntegrity, Manifest,
+    array_path, manifest_path, segment_path, task_segment_path, ArrayEntry, CkptKind, Manifest,
 };
 use crate::report::OpBreakdown;
-use crate::segment::{DataSegment, RegionKind};
+use crate::segment::DataSegment;
 use crate::{CoreError, IoMode, Result};
 use drms_darray::chunks;
 
@@ -326,108 +323,7 @@ impl Drms {
         base_segment: &DataSegment,
         arrays: &[&dyn CheckpointArray],
     ) -> Result<OpBreakdown> {
-        self.sop += 1;
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptEnter, false)?;
-        let t0 = ctx.now();
-
-        // Phase 1: one task's data segment, staged.
-        let staging = staging_prefix(prefix);
-        let seg_path = segment_path(&staging);
-        if ctx.rank() == 0 {
-            let local = crate::segment::Region {
-                name: "local-sections".to_string(),
-                kind: RegionKind::LocalSections,
-                bytes: encode_locals(arrays, self.cfg.fixed_local_bytes),
-            };
-            let bytes = base_segment.encode_with_region(Some(&local));
-            fs.create(&seg_path);
-            fs.write_at(ctx, &seg_path, 0, &bytes);
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptAfterSegment, true)?;
-        let t1 = ctx.now();
-
-        // Phase 2: every distributed array, streamed in sequence, staged.
-        let io = self.cfg.io.resolve(ctx.ntasks());
-        for a in arrays {
-            a.write_stream(ctx, fs, &array_path(&staging, a.array_name()), io)?;
-            crash_point(ctx, fs, CrashPoint::CkptAfterArray, true)?;
-        }
-        ctx.barrier();
-        let t2 = ctx.now();
-        stage_flight_rings(ctx, fs, &staging);
-
-        // Manifest, staged as `manifest.tmp`: decodable and complete, but
-        // deliberately invisible to checkpoint discovery until published.
-        if ctx.rank() == 0 {
-            let manifest = Manifest {
-                app: self.cfg.app.clone(),
-                kind: CkptKind::Drms,
-                ntasks: ctx.ntasks(),
-                sop: self.sop,
-                arrays: arrays
-                    .iter()
-                    .map(|a| ArrayEntry {
-                        name: a.array_name().to_string(),
-                        elem_code: a.elem_code(),
-                        domain: a.domain().clone(),
-                        order: a.order(),
-                    })
-                    .collect(),
-                integrity: compute_integrity_staged(fs, prefix),
-                deltas: Vec::new(),
-            };
-            let bytes = manifest.encode();
-            let smp = staged_manifest_path(prefix);
-            fs.create(&smp);
-            fs.write_at(ctx, &smp, 0, &bytes);
-        }
-        // No barrier before the publish: only rank 0 acts in this window
-        // (renames are control-plane), and the crash-point vote is itself
-        // a synchronization when a controller is armed — so a chaos-free
-        // checkpoint pays exactly the one barrier it always did.
-        crash_point(ctx, fs, CrashPoint::CkptStagedManifest, true)?;
-
-        // Publish: move data into place (uncommitting any previous
-        // checkpoint at this prefix), then atomically rename the manifest.
-        if ctx.rank() == 0 {
-            publish_data(fs, prefix);
-        }
-        crash_point(ctx, fs, CrashPoint::CkptMidPublish, true)?;
-        if ctx.rank() == 0 {
-            let committed = publish_manifest(fs, prefix);
-            debug_assert!(committed, "staged manifest must exist at the commit point");
-            if ctx.recorder().enabled() {
-                ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-            }
-            if ctx.recorder().flight_enabled() {
-                // Durable-progress marker for the flight recorder: the
-                // stitched timeline attributes everything after the last
-                // `commit:` of a killed incarnation as lost work.
-                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-            }
-        }
-        ctx.barrier();
-        let t3 = ctx.now();
-        crash_point(ctx, fs, CrashPoint::CkptCommitted, false)?;
-
-        for &a in arrays {
-            self.saved_versions
-                .insert((prefix.to_string(), a.array_name().to_string()), a.version());
-        }
-        let breakdown = OpBreakdown {
-            init: 0.0,
-            segment: t1 - t0,
-            arrays: t2 - t1,
-            segment_bytes: fs.size(&segment_path(prefix))?,
-            array_bytes: arrays.iter().map(|a| a.stream_bytes()).sum(),
-        };
-        phase_span(ctx, Phase::Segment, "write_segment", t0, t1);
-        phase_span(ctx, Phase::Arrays, "stream_arrays", t1, t2);
-        phase_span(ctx, Phase::Manifest, "write_manifest", t2, t3);
-        record_bytes(ctx, breakdown.segment_bytes, breakdown.array_bytes);
-        Ok(breakdown)
+        self.checkpoint(ctx, fs, prefix, base_segment, arrays, arrays)
     }
 
     /// Incremental variant of [`Drms::reconfig_checkpoint`]: arrays whose
@@ -449,100 +345,68 @@ impl Drms {
         base_segment: &DataSegment,
         arrays: &[&dyn CheckpointArray],
     ) -> Result<(OpBreakdown, Vec<String>)> {
-        let mut skipped = Vec::new();
-        let mut to_write: Vec<&dyn CheckpointArray> = Vec::new();
-        for &a in arrays {
-            let key = (prefix.to_string(), a.array_name().to_string());
-            let current = fs.exists(&array_path(prefix, a.array_name()))
-                && self.saved_versions.get(&key) == Some(&a.version());
-            if current {
-                skipped.push(a.array_name().to_string());
-            } else {
-                to_write.push(a);
-            }
-        }
+        let (skipped, to_write): (Vec<&dyn CheckpointArray>, Vec<&dyn CheckpointArray>) =
+            arrays.iter().partition(|a| {
+                let key = (prefix.to_string(), a.array_name().to_string());
+                fs.exists(&array_path(prefix, a.array_name()))
+                    && self.saved_versions.get(&key) == Some(&a.version())
+            });
+        let breakdown = self.checkpoint(ctx, fs, prefix, base_segment, arrays, &to_write)?;
+        Ok((breakdown, skipped.iter().map(|a| a.array_name().to_string()).collect()))
+    }
 
+    /// The body of both checkpoint calls: stages the segment and the
+    /// `to_write` subset of `arrays`, then commits a manifest listing every
+    /// array (skipped ones are current on disk, and the staged integrity
+    /// union covers both, so restart is oblivious to incrementality).
+    fn checkpoint(
+        &mut self,
+        ctx: &mut Ctx,
+        fs: &Piofs,
+        prefix: &str,
+        base_segment: &DataSegment,
+        arrays: &[&dyn CheckpointArray],
+        to_write: &[&dyn CheckpointArray],
+    ) -> Result<OpBreakdown> {
+        let points = CommitPoints::FOREGROUND;
         self.sop += 1;
         ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptEnter, false)?;
+        crash_point(ctx, fs, points.enter, false)?;
         let t0 = ctx.now();
-        let staging = staging_prefix(prefix);
-        let seg_path = segment_path(&staging);
-        if ctx.rank() == 0 {
-            let local = crate::segment::Region {
-                name: "local-sections".to_string(),
-                kind: RegionKind::LocalSections,
-                bytes: encode_locals(arrays, self.cfg.fixed_local_bytes),
-            };
-            let bytes = base_segment.encode_with_region(Some(&local));
-            fs.create(&seg_path);
-            fs.write_at(ctx, &seg_path, 0, &bytes);
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptAfterSegment, true)?;
+
+        // Phase 1: one task's data segment, staged.
+        stage_segment(ctx, fs, prefix, &points, || {
+            encode_segment(base_segment, arrays, self.cfg.fixed_local_bytes)
+        })?;
         let t1 = ctx.now();
 
+        // Phase 2: the arrays to write, streamed in sequence, staged.
+        let staging = staging_prefix(prefix);
         let io = self.cfg.io.resolve(ctx.ntasks());
-        for a in &to_write {
+        for a in to_write {
             a.write_stream(ctx, fs, &array_path(&staging, a.array_name()), io)?;
-            crash_point(ctx, fs, CrashPoint::CkptAfterArray, true)?;
+            crash_point(ctx, fs, points.after_array, true)?;
         }
         ctx.barrier();
         let t2 = ctx.now();
-        stage_flight_rings(ctx, fs, &staging);
 
-        if ctx.rank() == 0 {
-            // Manifest still lists every array (skipped ones are current on
-            // disk, and the staged integrity union covers both), so restart
-            // is oblivious to incrementality.
-            let manifest = Manifest {
+        let ntasks = ctx.ntasks();
+        let t3 = commit_staged(
+            ctx,
+            fs,
+            prefix,
+            &points,
+            |integrity| Manifest {
                 app: self.cfg.app.clone(),
                 kind: CkptKind::Drms,
-                ntasks: ctx.ntasks(),
+                ntasks,
                 sop: self.sop,
-                arrays: arrays
-                    .iter()
-                    .map(|a| ArrayEntry {
-                        name: a.array_name().to_string(),
-                        elem_code: a.elem_code(),
-                        domain: a.domain().clone(),
-                        order: a.order(),
-                    })
-                    .collect(),
-                integrity: compute_integrity_staged(fs, prefix),
+                arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
+                integrity,
                 deltas: Vec::new(),
-            };
-            let bytes = manifest.encode();
-            let smp = staged_manifest_path(prefix);
-            fs.create(&smp);
-            fs.write_at(ctx, &smp, 0, &bytes);
-        }
-        // No barrier before the publish: only rank 0 acts in this window
-        // (renames are control-plane), and the crash-point vote is itself
-        // a synchronization when a controller is armed — so a chaos-free
-        // checkpoint pays exactly the one barrier it always did.
-        crash_point(ctx, fs, CrashPoint::CkptStagedManifest, true)?;
-
-        if ctx.rank() == 0 {
-            publish_data(fs, prefix);
-        }
-        crash_point(ctx, fs, CrashPoint::CkptMidPublish, true)?;
-        if ctx.rank() == 0 {
-            let committed = publish_manifest(fs, prefix);
-            debug_assert!(committed, "staged manifest must exist at the commit point");
-            if ctx.recorder().enabled() {
-                ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-            }
-            if ctx.recorder().flight_enabled() {
-                // Durable-progress marker for the flight recorder: the
-                // stitched timeline attributes everything after the last
-                // `commit:` of a killed incarnation as lost work.
-                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-            }
-        }
-        ctx.barrier();
-        let t3 = ctx.now();
-        crash_point(ctx, fs, CrashPoint::CkptCommitted, false)?;
+            },
+            || {},
+        )?;
 
         for &a in arrays {
             self.saved_versions
@@ -559,7 +423,7 @@ impl Drms {
         phase_span(ctx, Phase::Arrays, "stream_arrays", t1, t2);
         phase_span(ctx, Phase::Manifest, "write_manifest", t2, t3);
         record_bytes(ctx, breakdown.segment_bytes, breakdown.array_bytes);
-        Ok((breakdown, skipped))
+        Ok(breakdown)
     }
 
     /// `drms_reconfig_chkenable`: enabling checkpoint, taken only when the
@@ -634,28 +498,6 @@ impl Drms {
 /// directly onto the stripe units a parity repair must reconstruct.
 pub fn integrity_chunk(fs: &Piofs) -> u64 {
     fs.cfg().stripe_unit.clamp(1024, 1 << 20)
-}
-
-/// Computes integrity records for every data file currently under `prefix`
-/// (manifest and quarantine markers excluded), in sorted-name order so the
-/// encoded manifest is deterministic. Writer-side (rank 0) control-plane
-/// operation. Public so out-of-crate checkpoint writers (the memory tier's
-/// spill) can stamp their manifests the same way.
-pub fn compute_integrity(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
-    let chunk = integrity_chunk(fs);
-    let dir = format!("{prefix}/");
-    let mut files: Vec<String> = fs.list(&dir).into_iter().map(|i| i.path).collect();
-    files.sort();
-    files
-        .into_iter()
-        .filter_map(|path| {
-            let name = path[dir.len()..].to_string();
-            if name == "manifest" || name.starts_with("manifest.") {
-                return None;
-            }
-            fs.peek(&path).map(|bytes| FileIntegrity::compute(&name, &bytes, chunk))
-        })
-        .collect()
 }
 
 /// Whether the checkpoint under `prefix` verifies end-to-end: the manifest
@@ -943,11 +785,11 @@ pub fn record_bytes(ctx: &Ctx, segment_bytes: u64, array_bytes: u64) {
 /// barrier rank 0 needs before computing staged integrity.
 ///
 /// Strict no-op unless a flight recorder is attached
-/// ([`Recorder::flight_enabled`]), so runs without one stay
+/// ([`drms_obs::Recorder::flight_enabled`]), so runs without one stay
 /// bit-identical. `flight_enabled` is uniform across ranks (it is a
 /// property of the shared recorder), so the conditional collective is
-/// consistent. Public so the delta and async checkpoint writers stage
-/// rings under the same convention.
+/// consistent. Called by [`crate::commit::commit_staged`]; public so the
+/// recovery journal commit stages rings under the same convention.
 pub fn stage_flight_rings(ctx: &mut Ctx, fs: &Piofs, staging: &str) {
     let rec = ctx.recorder();
     if !rec.flight_enabled() {

@@ -6,6 +6,7 @@ use drms_msg::Ctx;
 use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
 
+use crate::segment::{DataSegment, Region, RegionKind};
 use crate::{CoreError, Result};
 
 /// A distributed array as seen by the checkpoint machinery.
@@ -255,6 +256,22 @@ pub fn encode_locals(arrays: &[&dyn CheckpointArray], fixed_bytes: u64) -> Vec<u
     }
     out.resize(target, 0);
     out
+}
+
+/// Encodes `base` with the local-sections region [`encode_locals`] builds
+/// from `arrays`: the data segment every checkpoint writes except a delta
+/// checkpoint, whose arrays restore from their chunk streams instead.
+pub fn encode_segment(
+    base: &DataSegment,
+    arrays: &[&dyn CheckpointArray],
+    fixed_bytes: u64,
+) -> Vec<u8> {
+    let local = Region {
+        name: "local-sections".to_string(),
+        kind: RegionKind::LocalSections,
+        bytes: encode_locals(arrays, fixed_bytes),
+    };
+    base.encode_with_region(Some(&local))
 }
 
 /// Restores array local storage from an [`encode_locals`] blob (same arrays,

@@ -49,10 +49,11 @@ mod error;
 mod handle;
 mod inject;
 
+pub use commit::compute_integrity;
 pub use drms::{
-    checkpoint_is_valid, compute_integrity, delete_checkpoint, find_checkpoints, integrity_chunk,
-    phase_span, read_manifest_collective, record_bytes, retain_checkpoints, stage_flight_rings,
-    sweep_orphans, Drms, DrmsConfig, EnableFlag, RestartInfo, Start,
+    checkpoint_is_valid, delete_checkpoint, find_checkpoints, integrity_chunk, phase_span,
+    read_manifest_collective, record_bytes, retain_checkpoints, stage_flight_rings, sweep_orphans,
+    Drms, DrmsConfig, EnableFlag, RestartInfo, Start,
 };
 pub use error::CoreError;
 pub use inject::crash_point;
@@ -60,7 +61,7 @@ pub use inject::crash_point;
 /// Re-export of the fault-injection crate, so campaign code can name
 /// [`chaos::CrashPoint`] and fault plans through the core facade.
 pub use drms_chaos as chaos;
-pub use handle::{decode_locals, encode_locals, CheckpointArray};
+pub use handle::{decode_locals, encode_locals, encode_segment, CheckpointArray};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

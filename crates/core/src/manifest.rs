@@ -16,6 +16,7 @@
 use drms_darray::chunks::{ChunkParams, Codec};
 use drms_slices::{Order, Range, Slice};
 
+use crate::handle::CheckpointArray;
 use crate::wire::{
     crc32, crc32_combine, crc32_shift, split_trailing_crc, Reader, WireError, Writer,
 };
@@ -50,6 +51,18 @@ pub struct ArrayEntry {
     pub domain: Slice,
     /// Stream/storage order.
     pub order: Order,
+}
+
+impl ArrayEntry {
+    /// The entry describing the stream of `a`.
+    pub fn of(a: &dyn CheckpointArray) -> ArrayEntry {
+        ArrayEntry {
+            name: a.array_name().to_string(),
+            elem_code: a.elem_code(),
+            domain: a.domain().clone(),
+            order: a.order(),
+        }
+    }
 }
 
 /// Integrity record for one checkpoint file: per-chunk CRC-32s plus a

@@ -16,10 +16,10 @@ use drms_obs::Phase;
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 
 use crate::drms::{phase_span, record_bytes};
-use crate::handle::{encode_locals, CheckpointArray};
+use crate::handle::{encode_segment, CheckpointArray};
 use crate::manifest::{manifest_path, task_segment_path, CkptKind, Manifest};
 use crate::report::OpBreakdown;
-use crate::segment::{DataSegment, RegionKind};
+use crate::segment::DataSegment;
 use crate::{CoreError, DrmsConfig, Result};
 
 /// Conventional SPMD checkpoint: every task writes its full segment to its
@@ -36,12 +36,7 @@ pub fn checkpoint(
     ctx.barrier();
     let t0 = ctx.now();
 
-    let local = crate::segment::Region {
-        name: "local-sections".to_string(),
-        kind: RegionKind::LocalSections,
-        bytes: encode_locals(arrays, cfg.fixed_local_bytes),
-    };
-    let bytes = base_segment.encode_with_region(Some(&local));
+    let bytes = encode_segment(base_segment, arrays, cfg.fixed_local_bytes);
     let path = task_segment_path(prefix, ctx.rank());
     fs.create(&path);
     fs.collective_write(ctx, vec![WriteReq { path, offset: 0, data: bytes }]);
@@ -55,7 +50,7 @@ pub fn checkpoint(
             ntasks: ctx.ntasks(),
             sop,
             arrays: Vec::new(),
-            integrity: crate::drms::compute_integrity(fs, prefix),
+            integrity: crate::compute_integrity(fs, prefix),
             deltas: Vec::new(),
         };
         let bytes = manifest.encode();
@@ -150,6 +145,7 @@ pub fn restart(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::RegionKind;
     use drms_darray::{DistArray, Distribution};
     use drms_msg::{run_spmd, CostModel};
     use drms_piofs::PiofsConfig;

@@ -4,10 +4,15 @@
 
 use std::sync::Arc;
 
+use drms_core::chaos::{ChaosCtl, CommitPoints, CrashPoint, FaultPlan};
 use drms_core::segment::DataSegment;
-use drms_core::{Drms, DrmsConfig, EnableFlag, Start};
+use drms_core::{
+    checkpoint_is_valid, find_checkpoints, sweep_orphans, CoreError, Drms, DrmsConfig, EnableFlag,
+    Start,
+};
 use drms_darray::{DistArray, Distribution};
-use drms_msg::{run_spmd, CostModel};
+use drms_msg::{run_spmd, run_spmd_chaos, CostModel};
+use drms_obs::NullRecorder;
 use drms_piofs::{Piofs, PiofsConfig};
 use drms_slices::{Order, Slice};
 
@@ -116,4 +121,70 @@ fn redistribution_counts_as_mutation() {
         assert!(skipped.is_empty());
     })
     .unwrap();
+}
+
+/// Restarts `prefix` on 3 tasks and asserts both arrays bitwise: `u` holds
+/// `p + u_shift`, `forcing` its setup values.
+fn assert_restores(f: &Arc<Piofs>, prefix: &str, u_shift: f64) {
+    run_spmd(3, CostModel::default(), |ctx| {
+        let (drms, start) =
+            Drms::initialize(ctx, f, DrmsConfig::new("inc"), EnableFlag::new(), Some(prefix))
+                .unwrap();
+        let Start::Restarted(info) = start else { panic!("{prefix} did not restart") };
+        let (mut u, mut forcing) = arrays(3, ctx.rank());
+        drms.restore_arrays(ctx, f, prefix, &info.manifest, &mut [&mut u, &mut forcing]).unwrap();
+        u.fold_assigned((), |_, p, v| assert_eq!(v.to_bits(), (p[0] as f64 + u_shift).to_bits()));
+        forcing.fold_assigned((), |_, p, v| assert_eq!(v.to_bits(), ((p[0] * 7) as f64).to_bits()));
+    })
+    .unwrap();
+}
+
+#[test]
+fn every_crash_point_of_an_incremental_checkpoint_recovers_bitwise() {
+    // Two commits (`ck/a`, then `ck/b`) precede the victim, a second
+    // checkpoint to `ck/a` that rewrites `u` and skips `forcing`. Before it,
+    // every point fired once per commit, except `after_array`, which fired
+    // once per array written (two per commit).
+    let points = CommitPoints::FOREGROUND;
+    let mut cases: Vec<Option<(CrashPoint, u32)>> = vec![None];
+    cases.extend(points.all().map(|p| Some((p, if p == points.after_array { 5 } else { 3 }))));
+    for crash in cases {
+        let f = fs();
+        Drms::install_binary(&f, &DrmsConfig::new("inc"));
+        let ctl = ChaosCtl::new(FaultPlan { crash, ..FaultPlan::seeded(7) });
+        let rec = Arc::new(NullRecorder);
+        run_spmd_chaos(4, CostModel::default(), rec, Arc::clone(&ctl), |ctx| {
+            let (mut drms, _) =
+                Drms::initialize(ctx, &f, DrmsConfig::new("inc"), EnableFlag::new(), None).unwrap();
+            let (mut u, forcing) = arrays(4, ctx.rank());
+            let seg = DataSegment::new();
+            for prefix in ["ck/a", "ck/b"] {
+                drms.reconfig_checkpoint_incremental(ctx, &f, prefix, &seg, &[&u, &forcing])
+                    .unwrap();
+            }
+            u.fill_assigned(|p| p[0] as f64 + 100.0);
+            match drms.reconfig_checkpoint_incremental(ctx, &f, "ck/a", &seg, &[&u, &forcing]) {
+                Ok((_, skipped)) => {
+                    assert!(crash.is_none(), "{crash:?} never fired");
+                    assert_eq!(skipped, vec!["forcing".to_string()]);
+                }
+                Err(CoreError::Interrupted(at)) => {
+                    assert_eq!(Some(at.as_str()), crash.map(|(p, _)| p.as_str()));
+                }
+                Err(e) => panic!("{crash:?}: {e}"),
+            }
+        })
+        .unwrap();
+
+        let found = find_checkpoints(&f, Some("inc"));
+        for (prefix, _) in &found {
+            assert!(checkpoint_is_valid(&f, prefix), "{crash:?}: {prefix} fails verification");
+        }
+        let committed = matches!(crash, None | Some((CrashPoint::CkptCommitted, _)));
+        let (newest, u_shift) = if committed { ("ck/a", 100.0) } else { ("ck/b", 0.0) };
+        assert_eq!(found[0].0, newest, "{crash:?}");
+        sweep_orphans(&f);
+        assert!(f.list("ck/a.tmp/").is_empty(), "{crash:?}: staging survived the sweep");
+        assert_restores(&f, newest, u_shift);
+    }
 }

@@ -100,6 +100,16 @@ impl StageStats {
         self.pack_bytes += o.pack_bytes;
         self.saved += o.saved;
     }
+
+    /// Fraction of chunks that were dirty (0.0 when there were none).
+    pub fn dirty_ratio(&self) -> f64 {
+        let total = self.dirty + self.clean;
+        if total == 0 {
+            0.0
+        } else {
+            self.dirty as f64 / total as f64
+        }
+    }
 }
 
 /// The writer-side state of a delta chain: committed chunk digests per

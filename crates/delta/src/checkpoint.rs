@@ -1,16 +1,14 @@
 //! The incremental checkpoint writer.
 
-use drms_core::chaos::CrashPoint;
-use drms_core::commit::{
-    compute_integrity_staged, publish_data, publish_manifest, staged_manifest_path, staging_prefix,
-};
+use drms_core::chaos::CommitPoints;
+use drms_core::commit::{commit_staged, stage_segment, staging_prefix};
 use drms_core::crash_point;
 use drms_core::manifest::{
     delta_path, manifest_path, segment_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
 };
 use drms_core::report::OpBreakdown;
 use drms_core::segment::DataSegment;
-use drms_core::{phase_span, CheckpointArray, CoreError, Drms, Result};
+use drms_core::{phase_span, record_bytes, CheckpointArray, CoreError, Drms, Result};
 use drms_darray::stream::assemble_pieces;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
@@ -47,12 +45,9 @@ impl DeltaReport {
     /// Dirty-chunk ratio of this checkpoint (1.0 when nothing was carried
     /// forward — the signal the delta-collapse pulse rule watches).
     pub fn dirty_ratio(&self) -> f64 {
-        let total = self.dirty_chunks + self.clean_chunks;
-        if total == 0 {
-            0.0
-        } else {
-            self.dirty_chunks as f64 / total as f64
-        }
+        let stats =
+            StageStats { dirty: self.dirty_chunks, clean: self.clean_chunks, ..Default::default() };
+        stats.dirty_ratio()
     }
 }
 
@@ -86,12 +81,7 @@ pub fn delta_checkpoint(
         Ok(mut report) => {
             chain.commit(prefix);
             report.chain_depth = chain.depth();
-            if ctx.rank() == 0 && ctx.recorder().enabled() {
-                let rec = ctx.recorder();
-                let t = ctx.now();
-                rec.gauge_set_at(t, 0, names::DELTA_CHAIN_DEPTH, 0, report.chain_depth as f64);
-                rec.gauge_set_at(t, 0, names::DELTA_DIRTY_RATIO, 0, report.dirty_ratio());
-            }
+            record_chain(ctx, ctx.now(), report.chain_depth, report.dirty_ratio());
             Ok(report)
         }
         Err(e) => {
@@ -99,6 +89,38 @@ pub fn delta_checkpoint(
             Err(e)
         }
     }
+}
+
+/// Records one incremental checkpoint's staging pass on rank 0: a
+/// [`Phase::Delta`] span over `[start, end]` and, at `end`, its chunk
+/// counters. Shared by the blocking writer and the asynchronous pipeline,
+/// which runs the same pass in the foreground.
+pub fn record_stage(ctx: &Ctx, prefix: &str, stats: &StageStats, full: bool, start: f64, end: f64) {
+    if ctx.rank() != 0 || !ctx.recorder().enabled() {
+        return;
+    }
+    let rec = ctx.recorder();
+    rec.span_start(start, 0, Phase::Delta, prefix);
+    rec.counter_add_at(end, 0, names::DELTA_DIRTY_CHUNKS, None, stats.dirty);
+    rec.counter_add_at(end, 0, names::DELTA_CLEAN_CHUNKS, None, stats.clean);
+    rec.counter_add_at(end, 0, names::DELTA_DEDUP_HITS, None, stats.dedup);
+    rec.counter_add_at(end, 0, names::DELTA_BYTES_WRITTEN, None, stats.pack_bytes);
+    rec.counter_add_at(end, 0, names::DELTA_COMPRESSED_BYTES, None, stats.saved);
+    if full {
+        rec.counter_add_at(end, 0, names::DELTA_FULL_REWRITES, None, 1);
+    }
+    rec.span_end(end, 0, Phase::Delta, prefix);
+}
+
+/// Records the chain gauges at `t` on rank 0, once a checkpoint's chain
+/// state has committed.
+pub fn record_chain(ctx: &Ctx, t: f64, depth: u64, dirty_ratio: f64) {
+    if ctx.rank() != 0 || !ctx.recorder().enabled() {
+        return;
+    }
+    let rec = ctx.recorder();
+    rec.gauge_set_at(t, 0, names::DELTA_CHAIN_DEPTH, 0, depth as f64);
+    rec.gauge_set_at(t, 0, names::DELTA_DIRTY_RATIO, 0, dirty_ratio);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -121,32 +143,22 @@ fn run(
         )));
     }
 
+    let points = CommitPoints::FOREGROUND;
     drms.advance_sop();
     let full = chain.begin(cfg);
     ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::CkptEnter, false)?;
+    crash_point(ctx, fs, points.enter, false)?;
     let t0 = ctx.now();
 
     // Phase 1: the shared data segment, staged, without the local-sections
     // region (arrays restore from their chunk streams, not segment locals).
-    let staging = staging_prefix(prefix);
-    let seg_path = segment_path(&staging);
-    if ctx.rank() == 0 {
-        let bytes = base_segment.encode_with_region(None);
-        fs.create(&seg_path);
-        fs.write_at(ctx, &seg_path, 0, &bytes);
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::CkptAfterSegment, true)?;
+    stage_segment(ctx, fs, prefix, &points, || base_segment.encode_with_region(None))?;
     let t1 = ctx.now();
 
     // Phase 2: gather each array's canonical stream to rank 0, chunk,
     // diff, dedup, and stage only the surviving chunks as a pack file.
+    let staging = staging_prefix(prefix);
     let params = cfg.params(fs);
-    let traced = ctx.recorder().enabled();
-    if traced && ctx.rank() == 0 {
-        ctx.recorder().span_start(ctx.now(), 0, Phase::Delta, prefix);
-    }
     let mut stats = StageStats::default();
     let mut deltas: Vec<ArrayDelta> = Vec::new();
     for a in arrays {
@@ -163,68 +175,30 @@ fn run(
             stats.add(s);
             deltas.push(table);
         }
-        crash_point(ctx, fs, CrashPoint::CkptAfterArray, true)?;
+        crash_point(ctx, fs, points.after_array, true)?;
     }
-    if traced && ctx.rank() == 0 {
-        let rec = ctx.recorder();
-        let t = ctx.now();
-        rec.counter_add_at(t, 0, names::DELTA_DIRTY_CHUNKS, None, stats.dirty);
-        rec.counter_add_at(t, 0, names::DELTA_CLEAN_CHUNKS, None, stats.clean);
-        rec.counter_add_at(t, 0, names::DELTA_DEDUP_HITS, None, stats.dedup);
-        rec.counter_add_at(t, 0, names::DELTA_BYTES_WRITTEN, None, stats.pack_bytes);
-        rec.counter_add_at(t, 0, names::DELTA_COMPRESSED_BYTES, None, stats.saved);
-        if full {
-            rec.counter_add_at(t, 0, names::DELTA_FULL_REWRITES, None, 1);
-        }
-        rec.span_end(t, 0, Phase::Delta, prefix);
-    }
+    record_stage(ctx, prefix, &stats, full, t1, ctx.now());
     ctx.barrier();
     let t2 = ctx.now();
-    drms_core::stage_flight_rings(ctx, fs, &staging);
 
-    // Manifest v3, staged as `manifest.tmp`, then the two-phase publish.
-    if ctx.rank() == 0 {
-        let manifest = Manifest {
-            app: drms.cfg().app.clone(),
+    // Manifest v3, then the two-phase publish.
+    let (app, ntasks, sop) = (drms.cfg().app.clone(), ctx.ntasks(), drms.sop());
+    let t3 = commit_staged(
+        ctx,
+        fs,
+        prefix,
+        &points,
+        |integrity| Manifest {
+            app,
             kind: CkptKind::DrmsDelta,
-            ntasks: ctx.ntasks(),
-            sop: drms.sop(),
-            arrays: arrays
-                .iter()
-                .map(|a| ArrayEntry {
-                    name: a.array_name().to_string(),
-                    elem_code: a.elem_code(),
-                    domain: a.domain().clone(),
-                    order: a.order(),
-                })
-                .collect(),
-            integrity: compute_integrity_staged(fs, prefix),
+            ntasks,
+            sop,
+            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
+            integrity,
             deltas,
-        };
-        let bytes = manifest.encode();
-        let smp = staged_manifest_path(prefix);
-        fs.create(&smp);
-        fs.write_at(ctx, &smp, 0, &bytes);
-    }
-    crash_point(ctx, fs, CrashPoint::CkptStagedManifest, true)?;
-
-    if ctx.rank() == 0 {
-        publish_data(fs, prefix);
-    }
-    crash_point(ctx, fs, CrashPoint::CkptMidPublish, true)?;
-    if ctx.rank() == 0 {
-        let committed = publish_manifest(fs, prefix);
-        debug_assert!(committed, "staged manifest must exist at the commit point");
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-        }
-        if ctx.recorder().flight_enabled() {
-            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-        }
-    }
-    ctx.barrier();
-    let t3 = ctx.now();
-    crash_point(ctx, fs, CrashPoint::CkptCommitted, false)?;
+        },
+        || {},
+    )?;
 
     let breakdown = OpBreakdown {
         init: 0.0,
@@ -236,11 +210,7 @@ fn run(
     phase_span(ctx, Phase::Segment, "write_segment", t0, t1);
     phase_span(ctx, Phase::Arrays, "stage_deltas", t1, t2);
     phase_span(ctx, Phase::Manifest, "write_manifest", t2, t3);
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.counter_add_at(ctx.now(), 0, names::SEGMENT_BYTES, None, breakdown.segment_bytes);
-        rec.counter_add_at(ctx.now(), 0, names::ARRAY_BYTES, None, breakdown.array_bytes);
-    }
+    record_bytes(ctx, breakdown.segment_bytes, breakdown.array_bytes);
     Ok(DeltaReport {
         breakdown,
         full,

@@ -47,5 +47,5 @@ mod checkpoint;
 mod restore;
 
 pub use chain::{DeltaChain, DeltaConfig, StageStats};
-pub use checkpoint::{delta_checkpoint, DeltaReport};
+pub use checkpoint::{delta_checkpoint, record_chain, record_stage, DeltaReport};
 pub use restore::{fetch_delta_range, materialize_stream, restore_arrays_delta, resume};

@@ -19,9 +19,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use drms_core::manifest::{manifest_path, ArrayEntry, CkptKind, Manifest};
-use drms_core::segment::{DataSegment, Region, RegionKind};
+use drms_core::segment::DataSegment;
 use drms_core::wire::{crc32, Reader, Writer};
-use drms_core::{compute_integrity, encode_locals, CheckpointArray, CoreError, Drms};
+use drms_core::{compute_integrity, encode_segment, CheckpointArray, CoreError, Drms};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
@@ -144,12 +144,7 @@ pub fn store_checkpoint(
     let mut local: Vec<(String, u64, Arc<Vec<u8>>, u32)> = Vec::new();
     let mut seg_len = 0u64;
     if ctx.rank() == 0 {
-        let region = Region {
-            name: "local-sections".to_string(),
-            kind: RegionKind::LocalSections,
-            bytes: encode_locals(arrays, cfg.fixed_local_bytes),
-        };
-        let bytes = base_segment.encode_with_region(Some(&region));
+        let bytes = encode_segment(base_segment, arrays, cfg.fixed_local_bytes);
         seg_len = bytes.len() as u64;
         let mut off = 0u64;
         for chunk in bytes.chunks(tier.piece_bytes()) {
@@ -226,15 +221,7 @@ pub fn store_checkpoint(
             kind: CkptKind::Drms,
             ntasks: ctx.ntasks(),
             sop,
-            arrays: arrays
-                .iter()
-                .map(|a| ArrayEntry {
-                    name: a.array_name().to_string(),
-                    elem_code: a.elem_code(),
-                    domain: a.domain().clone(),
-                    order: a.order(),
-                })
-                .collect(),
+            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
             integrity: Vec::new(),
             deltas: Vec::new(),
         };

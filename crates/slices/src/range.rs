@@ -74,7 +74,11 @@ impl Range {
         if lo > hi {
             return Ok(Range::empty());
         }
-        let last = lo + ((hi - lo) / step) * step;
+        // Wide arithmetic: `hi - lo` overflows i64 for far-apart bounds,
+        // while `last` itself always lies in `[lo, hi]`.
+        let (lo_w, step_w) = (i128::from(lo), i128::from(step));
+        let last = i64::try_from(lo_w + (i128::from(hi) - lo_w) / step_w * step_w)
+            .expect("last lies in [lo, hi]");
         if step == 1 {
             Ok(Range::Contiguous { lo, hi: last })
         } else if last == lo {
@@ -104,8 +108,10 @@ impl Range {
             0 => Range::empty(),
             1 => Range::single(indices[0]),
             _ => {
-                let step = indices[1] - indices[0];
-                let uniform = indices.windows(2).all(|w| w[1] - w[0] == step);
+                // A gap wider than i64 (wrapped negative) is never uniform.
+                let step = indices[1].wrapping_sub(indices[0]);
+                let uniform =
+                    step > 0 && indices.windows(2).all(|w| w[1].checked_sub(w[0]) == Some(step));
                 if uniform {
                     if step == 1 {
                         Range::Contiguous { lo: indices[0], hi: *indices.last().unwrap() }
@@ -342,6 +348,16 @@ impl ExactSizeIterator for RangeIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn far_apart_bounds_do_not_overflow() {
+        let r = Range::strided(i64::MIN, i64::MAX, 1 << 62).unwrap();
+        assert_eq!(r, Range::Strided { lo: i64::MIN, hi: 1 << 62, step: 1 << 62 });
+        let r = Range::from_indices(&[i64::MIN, i64::MAX]).unwrap();
+        assert_eq!(r, Range::Explicit(Arc::from(&[i64::MIN, i64::MAX][..])));
+        let r = Range::from_indices(&[-1, i64::MAX - 1, i64::MAX]).unwrap();
+        assert!(matches!(r, Range::Explicit(_)));
+    }
 
     #[test]
     fn contiguous_basics() {
