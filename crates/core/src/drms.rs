@@ -9,9 +9,7 @@ use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 use crate::commit::{commit_staged, stage_segment, staging_prefix};
 use crate::handle::{encode_segment, CheckpointArray};
 use crate::inject::crash_point;
-use crate::manifest::{
-    array_path, manifest_path, segment_path, task_segment_path, ArrayEntry, CkptKind, Manifest,
-};
+use crate::manifest::{array_path, manifest_path, segment_path, ArrayEntry, CkptKind, Manifest};
 use crate::report::OpBreakdown;
 use crate::segment::DataSegment;
 use crate::{CoreError, IoMode, Result};
@@ -516,18 +514,7 @@ pub fn integrity_chunk(fs: &Piofs) -> u64 {
 pub fn checkpoint_is_valid(fs: &Piofs, prefix: &str) -> bool {
     let Some(bytes) = fs.peek(&manifest_path(prefix)) else { return false };
     let Ok(m) = Manifest::decode(&bytes) else { return false };
-    let required: Vec<String> = match m.kind {
-        CkptKind::Drms => std::iter::once(segment_path(prefix))
-            .chain(m.arrays.iter().map(|a| array_path(prefix, &a.name)))
-            .collect(),
-        CkptKind::Spmd => (0..m.ntasks).map(|r| task_segment_path(prefix, r)).collect(),
-        CkptKind::DrmsDelta => std::iter::once(segment_path(prefix))
-            .chain(
-                m.deltas.iter().flat_map(|d| d.chunks.iter().map(|c| c.pack_path(prefix, &d.name))),
-            )
-            .collect(),
-    };
-    if required.iter().any(|p| !fs.exists(p)) {
+    if m.required_files(prefix).iter().any(|p| !fs.exists(p)) {
         return false;
     }
     if m.kind == CkptKind::DrmsDelta && !delta_chunks_verify(fs, prefix, &m) {

@@ -316,6 +316,36 @@ pub fn read_slice(r: &mut Reader<'_>) -> Result<Slice, WireError> {
 }
 
 impl Manifest {
+    /// Files the checkpoint kind mandates under `prefix`, each named once in
+    /// first-reference order. Integrity records cover only files that have
+    /// them (a v1 manifest has none, and a damaged writer could drop one),
+    /// so existence is checked against this list as well.
+    ///
+    /// An incremental checkpoint mandates its segment plus every pack file
+    /// its chunk tables point into, including packs of prior incarnations
+    /// (a delta chain with missing history cannot restore). Many chunks
+    /// share one pack, which is listed once.
+    pub fn required_files(&self, prefix: &str) -> Vec<String> {
+        match self.kind {
+            CkptKind::Drms => std::iter::once(segment_path(prefix))
+                .chain(self.arrays.iter().map(|a| array_path(prefix, &a.name)))
+                .collect(),
+            CkptKind::Spmd => (0..self.ntasks).map(|r| task_segment_path(prefix, r)).collect(),
+            CkptKind::DrmsDelta => {
+                let mut files = vec![segment_path(prefix)];
+                for d in &self.deltas {
+                    for c in &d.chunks {
+                        let path = c.pack_path(prefix, &d.name);
+                        if !files.contains(&path) {
+                            files.push(path);
+                        }
+                    }
+                }
+                files
+            }
+        }
+    }
+
     /// Encodes the manifest.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_header(MAGIC, VERSION);

@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use drms_slices::{Order, Slice};
 
-use crate::element::{decode, encode};
+use crate::element::{decode_into, encode_into};
 use crate::{DarrayError, Distribution, Element, Result};
 
 /// One task's view of a distributed array: shared metadata plus the local
@@ -170,35 +170,73 @@ impl<T: Element> DistArray<T> {
     /// region identically, which is what makes redistribution
     /// representation-independent.
     pub fn pack_region(&self, region: &Slice) -> Vec<u8> {
-        let mut vals = Vec::with_capacity(region.size());
-        for_each_region_index(self.mapped(), region, self.order, |idx, _point| {
-            vals.push(self.local[idx]);
+        let mut out = vec![0u8; region.size() * T::SIZE];
+        let mut at = 0;
+        for_each_region_run(self.mapped(), region, self.order, |start, len| {
+            let n = len * T::SIZE;
+            encode_into(&self.local[start..start + len], &mut out[at..at + n]);
+            at += n;
         });
-        encode(&vals)
+        out
     }
 
     /// Unpacks bytes produced by [`DistArray::pack_region`] on the same
     /// region into local storage.
     pub fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) {
-        let vals = decode::<T>(bytes);
-        debug_assert_eq!(vals.len(), region.size(), "payload size vs region");
+        debug_assert_eq!(bytes.len(), region.size() * T::SIZE, "payload size vs region");
         self.version += 1;
-        let mut it = vals.into_iter();
-        let mapped = self.mapped().clone();
-        let order = self.order;
-        for_each_region_index(&mapped, region, order, |idx, _point| {
-            self.local[idx] = it.next().expect("sized above");
+        let dist = Arc::clone(&self.dist);
+        let local = &mut self.local;
+        let mut at = 0;
+        for_each_region_run(dist.mapped(self.rank), region, self.order, |start, len| {
+            let n = len * T::SIZE;
+            decode_into(&bytes[at..at + n], &mut local[start..start + len]);
+            at += n;
         });
     }
 
     /// Internal mutable visitor over a region of local storage.
     fn for_each_local_of(&mut self, region: &Slice, mut f: impl FnMut(usize, &[i64], &mut [T])) {
-        let mapped = self.mapped().clone();
-        let order = self.order;
         self.version += 1;
+        let dist = Arc::clone(&self.dist);
         let local = &mut self.local;
-        for_each_region_index(&mapped, region, order, |idx, point| f(idx, point, local));
+        for_each_region_index(dist.mapped(self.rank), region, self.order, |idx, point| {
+            f(idx, point, local)
+        });
     }
+}
+
+/// Storage strides of the dense `mapped` box laid out in `order`, per axis.
+fn storage_strides(mapped: &Slice, order: Order) -> Vec<usize> {
+    let d = mapped.rank();
+    let mut strides = vec![0usize; d];
+    let mut acc = 1usize;
+    for ax in order.axes_fast_to_slow(d) {
+        strides[ax] = acc;
+        acc *= mapped.range(ax).len();
+    }
+    strides
+}
+
+/// Per-axis tables of local offsets (position in the mapped range times the
+/// axis stride), one entry per element of the region's range, in the
+/// range's iteration order.
+fn axis_offsets(mapped: &Slice, region: &Slice, strides: &[usize]) -> Vec<Vec<usize>> {
+    (0..region.rank())
+        .map(|ax| {
+            let mrange = mapped.range(ax);
+            region
+                .range(ax)
+                .iter()
+                .map(|g| {
+                    let pos = mrange
+                        .position(g)
+                        .unwrap_or_else(|| panic!("region point {g} on axis {ax} not mapped"));
+                    pos * strides[ax]
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Visits every point of `region` in `order`, passing its flat index within
@@ -206,9 +244,9 @@ impl<T: Element> DistArray<T> {
 /// coordinates.
 ///
 /// Uses per-axis offset tables (computed once) plus an odometer walk, so the
-/// per-element cost is O(rank) arithmetic with no range searches — this is
-/// the hot loop of redistribution and streaming.
-#[allow(clippy::needless_range_loop)] // per-axis loop reads several tables
+/// per-element cost is O(rank) arithmetic with no range searches. It serves
+/// the coordinate visitors (`fill_*`, `fold_assigned`); bulk data movement
+/// goes through [`for_each_region_run`] instead.
 pub(crate) fn for_each_region_index(
     mapped: &Slice,
     region: &Slice,
@@ -224,44 +262,15 @@ pub(crate) fn for_each_region_index(
         f(0, &[]);
         return;
     }
-
-    // Storage strides of the mapped box, in `order`.
-    let mut strides = vec![0usize; d];
-    let mut acc = 1usize;
-    for ax in order.axes_fast_to_slow(d) {
-        strides[ax] = acc;
-        acc *= mapped.range(ax).len();
-    }
-
-    // Per-axis tables: local offset (position in mapped range x stride) and
-    // global coordinate for each element of the region's range.
-    let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(d);
-    let mut coords: Vec<Vec<i64>> = Vec::with_capacity(d);
-    for ax in 0..d {
-        let mrange = mapped.range(ax);
-        let rrange = region.range(ax);
-        let mut offs = Vec::with_capacity(rrange.len());
-        let mut crds = Vec::with_capacity(rrange.len());
-        for g in rrange.iter() {
-            let pos = mrange
-                .position(g)
-                .unwrap_or_else(|| panic!("region point {g} on axis {ax} not mapped"));
-            offs.push(pos * strides[ax]);
-            crds.push(g);
-        }
-        offsets.push(offs);
-        coords.push(crds);
-    }
+    let offsets = axis_offsets(mapped, region, &storage_strides(mapped, order));
+    let coords: Vec<Vec<i64>> = region.ranges().iter().map(|r| r.to_vec()).collect();
 
     // Odometer walk in stream order.
     let axes: Vec<usize> = order.axes_fast_to_slow(d).collect();
     let mut idx = vec![0usize; d];
-    let mut point = vec![0i64; d];
-    for ax in 0..d {
-        point[ax] = coords[ax][0];
-    }
+    let mut point: Vec<i64> = coords.iter().map(|c| c[0]).collect();
     loop {
-        let flat: usize = (0..d).map(|ax| offsets[ax][idx[ax]]).sum();
+        let flat: usize = offsets.iter().zip(&idx).map(|(offs, &i)| offs[i]).sum();
         f(flat, &point);
         // Advance odometer.
         let mut done = true;
@@ -279,6 +288,79 @@ pub(crate) fn for_each_region_index(
             break;
         }
     }
+}
+
+/// Visits `region` (a subset of `mapped`) in `order` as maximal runs of
+/// consecutive local storage: `f(start, len)` covers the flat indices
+/// `start..start + len` of the dense storage of `mapped`, and concatenating
+/// the runs in call order enumerates the region exactly as
+/// [`for_each_region_index`] does.
+///
+/// The fastest axis's offsets merge into unit-stride runs. While a single
+/// run tiles a whole axis (its length equals the next slower axis's
+/// stride), that slower axis folds in, so a region that is one contiguous
+/// block of storage is one run. Only the remaining slower axes are walked
+/// by the odometer, once per run set rather than once per element.
+pub(crate) fn for_each_region_run(
+    mapped: &Slice,
+    region: &Slice,
+    order: Order,
+    mut f: impl FnMut(usize, usize),
+) {
+    debug_assert!(region.is_subset_of(mapped), "region {region} not within mapped {mapped}");
+    if region.is_empty() {
+        return;
+    }
+    let d = region.rank();
+    if d == 0 {
+        f(0, 1);
+        return;
+    }
+    let strides = storage_strides(mapped, order);
+    let offsets = axis_offsets(mapped, region, &strides);
+    let axes: Vec<usize> = order.axes_fast_to_slow(d).collect();
+
+    let mut runs = merge_runs(&offsets[axes[0]], 1);
+    let mut folded = 1;
+    while folded < d && runs.len() == 1 && runs[0].1 == strides[axes[folded]] {
+        runs = merge_runs(&offsets[axes[folded]], runs[0].1);
+        folded += 1;
+    }
+
+    // Odometer over the axes not folded into the runs.
+    let slow = &axes[folded..];
+    let mut idx = vec![0usize; slow.len()];
+    loop {
+        let base: usize = slow.iter().zip(&idx).map(|(&ax, &i)| offsets[ax][i]).sum();
+        for &(start, len) in &runs {
+            f(base + start, len);
+        }
+        let mut done = true;
+        for (i, &ax) in idx.iter_mut().zip(slow) {
+            *i += 1;
+            if *i < offsets[ax].len() {
+                done = false;
+                break;
+            }
+            *i = 0;
+        }
+        if done {
+            break;
+        }
+    }
+}
+
+/// Merges element offsets (each covering `len` consecutive storage slots)
+/// into maximal `(start, len)` runs, preserving visit order.
+fn merge_runs(offsets: &[usize], len: usize) -> Vec<(usize, usize)> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for &o in offsets {
+        match runs.last_mut() {
+            Some((start, n)) if *start + *n == o => *n += len,
+            _ => runs.push((o, len)),
+        }
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -396,7 +478,45 @@ mod tests {
                 via_cursor.push((idx, p.to_vec()));
             });
             assert_eq!(via_helper, via_cursor, "order {order:?}");
+            let flat: Vec<usize> = via_cursor.iter().map(|(idx, _)| *idx).collect();
+            assert_eq!(run_indices(&mapped, &region, order).0, flat, "runs, order {order:?}");
         }
+    }
+
+    /// Expands runs back to the flat indices they cover.
+    fn run_indices(mapped: &Slice, region: &Slice, order: Order) -> (Vec<usize>, usize) {
+        let (mut flat, mut runs) = (Vec::new(), 0);
+        for_each_region_run(mapped, region, order, |start, len| {
+            assert!(len > 0);
+            flat.extend(start..start + len);
+            runs += 1;
+        });
+        (flat, runs)
+    }
+
+    #[test]
+    fn contiguous_blocks_fold_into_one_run() {
+        let mapped = Slice::boxed(&[(0, 3), (0, 4), (0, 5)]);
+        // Whole box: one run in either order.
+        for order in [Order::ColumnMajor, Order::RowMajor] {
+            assert_eq!(run_indices(&mapped, &mapped, order), ((0..120).collect(), 1));
+        }
+        // Full fast axes, partial slowest axis: still one block.
+        let slab = Slice::boxed(&[(0, 3), (0, 4), (2, 3)]);
+        assert_eq!(run_indices(&mapped, &slab, Order::ColumnMajor), ((40..80).collect(), 1));
+        // Partial middle axis: one run per slowest-axis index.
+        let partial = Slice::boxed(&[(0, 3), (1, 2), (0, 5)]);
+        assert_eq!(run_indices(&mapped, &partial, Order::ColumnMajor).1, 6);
+        // Partial fastest axis: one run per combination of slower indices.
+        let inner = Slice::boxed(&[(1, 2), (0, 4), (0, 5)]);
+        assert_eq!(run_indices(&mapped, &inner, Order::ColumnMajor).1, 30);
+        // Strided fastest axis: runs of one element.
+        let strided = Slice::new(vec![
+            Range::strided(0, 3, 2).unwrap(),
+            Range::contiguous(0, 0),
+            Range::contiguous(0, 0),
+        ]);
+        assert_eq!(run_indices(&mapped, &strided, Order::ColumnMajor), (vec![0, 2], 2));
     }
 
     #[test]
@@ -410,5 +530,6 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 1);
+        assert_eq!(run_indices(&mapped, &region, Order::RowMajor), (vec![0], 1));
     }
 }

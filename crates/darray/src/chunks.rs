@@ -212,19 +212,40 @@ impl Codec {
 /// with runs capped at 256. Deterministic, dependency-free, and effective
 /// on the long constant (often zero) spans of solver state.
 pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
+    rle_below(bytes, usize::MAX).expect("an unbounded encoding always completes")
+}
+
+/// [`rle_compress`] of `bytes` if it comes out shorter than `limit` bytes.
+/// Gives up as soon as it cannot: every byte still to encode needs at
+/// least one more pair per 256 bytes.
+///
+/// A run is scanned eight bytes at a time against the repeated byte, then
+/// byte by byte for its last few bytes.
+fn rle_below(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
+    let n = bytes.len();
+    let mut out = Vec::with_capacity(limit.min(n));
     let mut i = 0;
-    while i < bytes.len() {
+    while i < n {
         let b = bytes[i];
-        let mut run = 1usize;
-        while run < 256 && i + run < bytes.len() && bytes[i + run] == b {
-            run += 1;
+        let end = n.min(i + 256);
+        let pattern = u64::from_ne_bytes([b; 8]);
+        let mut j = i + 1;
+        while j + 8 <= end
+            && u64::from_ne_bytes(bytes[j..j + 8].try_into().expect("eight bytes")) == pattern
+        {
+            j += 8;
         }
-        out.push((run - 1) as u8);
+        while j < end && bytes[j] == b {
+            j += 1;
+        }
+        out.push((j - i - 1) as u8);
         out.push(b);
-        i += run;
+        i = j;
+        if out.len() + 2 * (n - i).div_ceil(256) >= limit {
+            return None;
+        }
     }
-    out
+    (out.len() < limit).then_some(out)
 }
 
 /// Inverse of [`rle_compress`]. Returns `None` on a malformed stream
@@ -244,8 +265,7 @@ pub fn rle_decompress(bytes: &[u8]) -> Option<Vec<u8>> {
 /// enabled), raw otherwise.
 pub fn encode_chunk(bytes: &[u8], compress: bool) -> (Codec, Vec<u8>) {
     if compress {
-        let c = rle_compress(bytes);
-        if c.len() < bytes.len() {
+        if let Some(c) = rle_below(bytes, bytes.len()) {
             return (Codec::Rle, c);
         }
     }
@@ -364,6 +384,72 @@ mod tests {
             assert_eq!(stored, data);
         }
         assert!(rle_decompress(&[1, 2, 3]).is_none());
+    }
+
+    /// The byte-at-a-time encoder the run-scanning one replaced: the
+    /// oracle for stored bytes and codec choice.
+    fn rle_compress_oracle(bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            let b = bytes[i];
+            let mut run = 1usize;
+            while run < 256 && i + run < bytes.len() && bytes[i + run] == b {
+                run += 1;
+            }
+            out.push((run - 1) as u8);
+            out.push(b);
+            i += run;
+        }
+        out
+    }
+
+    fn encode_chunk_oracle(bytes: &[u8], compress: bool) -> (Codec, Vec<u8>) {
+        if compress {
+            let c = rle_compress_oracle(bytes);
+            if c.len() < bytes.len() {
+                return (Codec::Rle, c);
+            }
+        }
+        (Codec::Raw, bytes.to_vec())
+    }
+
+    #[test]
+    fn run_scanning_encoder_matches_oracle() {
+        let mut cases: Vec<Vec<u8>> = vec![vec![], vec![3], vec![3, 3], vec![1, 2]];
+        // Runs of 255, 256 and 257 bytes, alone, between other bytes, and
+        // at the end of a chunk.
+        for len in [1usize, 7, 8, 9, 255, 256, 257, 511, 512, 513] {
+            cases.push(vec![0; len]);
+            cases.push([vec![9], vec![0; len], vec![9]].concat());
+            cases.push([(0..40u8).collect(), vec![0xAB; len]].concat());
+            cases.push([vec![0xAB; len], (0..40u8).collect()].concat());
+        }
+        // Pseudo-random bytes over small alphabets: short runs of every
+        // length, compressible and not.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for alphabet in [1u64, 2, 3, 16, 256] {
+            for len in [10usize, 100, 1000, 4096] {
+                let bytes = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        (x % alphabet) as u8
+                    })
+                    .collect::<Vec<u8>>();
+                cases.push(bytes);
+            }
+        }
+        // Exactly break-even: 2 pairs for 4 bytes, so raw wins.
+        cases.push(vec![1, 1, 2, 2]);
+        cases.push(vec![1, 1, 1, 2, 2]);
+        for data in &cases {
+            assert_eq!(rle_compress(data), rle_compress_oracle(data), "{data:?}");
+            for compress in [false, true] {
+                assert_eq!(encode_chunk(data, compress), encode_chunk_oracle(data, compress));
+            }
+        }
     }
 
     #[test]

@@ -43,21 +43,36 @@ impl_element!(f64 => 1, f32 => 2, i64 => 3, i32 => 4, u64 => 5, u32 => 6, u8 => 
 /// Encodes a slice of elements to little-endian bytes.
 pub(crate) fn encode<T: Element>(vals: &[T]) -> Vec<u8> {
     let mut out = vec![0u8; vals.len() * T::SIZE];
-    for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(T::SIZE)) {
-        v.write_le(chunk);
-    }
+    encode_into(vals, &mut out);
     out
 }
 
-/// Decodes little-endian bytes into elements.
-pub(crate) fn decode<T: Element>(bytes: &[u8]) -> Vec<T> {
-    debug_assert_eq!(bytes.len() % T::SIZE, 0, "byte length not a multiple of element size");
-    bytes.chunks_exact(T::SIZE).map(T::read_le).collect()
+/// Encodes `vals` into `out`, which must hold exactly their encoded bytes.
+pub(crate) fn encode_into<T: Element>(vals: &[T], out: &mut [u8]) {
+    assert_eq!(out.len(), vals.len() * T::SIZE, "encode buffer size");
+    for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(T::SIZE)) {
+        v.write_le(chunk);
+    }
+}
+
+/// Decodes little-endian `bytes` into `out`, which must hold exactly as many
+/// elements as `bytes` encodes.
+pub(crate) fn decode_into<T: Element>(bytes: &[u8], out: &mut [T]) {
+    assert_eq!(bytes.len(), out.len() * T::SIZE, "decode buffer size");
+    for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+        *v = T::read_le(chunk);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode<T: Element>(bytes: &[u8]) -> Vec<T> {
+        let mut out = vec![T::default(); bytes.len() / T::SIZE];
+        decode_into(bytes, &mut out);
+        out
+    }
 
     #[test]
     fn roundtrip_f64() {
@@ -86,5 +101,11 @@ mod tests {
         let bytes = encode::<f64>(&[]);
         assert!(bytes.is_empty());
         assert!(decode::<f64>(&bytes).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "decode buffer size")]
+    fn decode_into_rejects_size_mismatch() {
+        decode_into::<u32>(&[0u8; 6], &mut [0u32; 2]);
     }
 }

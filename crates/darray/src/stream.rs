@@ -24,7 +24,7 @@ use drms_slices::partition::{choose_piece_count, partition, stream_offsets};
 use drms_slices::Slice;
 
 use crate::assign::assign;
-use crate::element::{decode, encode};
+use crate::element::{decode_into, encode};
 use crate::{DarrayError, DistArray, Distribution, Element, Result};
 
 /// Target bytes per streamed piece (the paper chooses ~1 MB as the balance
@@ -199,8 +199,7 @@ pub fn read_section_with<T: Element>(
         }
         let mut got = fs.collective_read(ctx, reqs).map_err(|e| DarrayError::Io(e.to_string()))?;
         if let Some(bytes) = got.pop() {
-            let vals = decode::<T>(&bytes);
-            aux.local_mut().copy_from_slice(&vals);
+            decode_into(&bytes, aux.local_mut());
         }
         assign(ctx, array, &aux)?;
     }
@@ -370,8 +369,7 @@ pub fn read_section_via<T: Element>(
                     len,
                 );
             }
-            let vals = decode::<T>(&bytes);
-            aux.local_mut().copy_from_slice(&vals);
+            decode_into(&bytes, aux.local_mut());
         }
         assign(ctx, array, &aux)?;
         if traced {
@@ -480,8 +478,7 @@ pub fn read_overlapping_via<T: Element>(
                     len,
                 );
             }
-            let vals = decode::<T>(&bytes);
-            aux.local_mut().copy_from_slice(&vals);
+            decode_into(&bytes, aux.local_mut());
         }
         assign(ctx, array, &aux)?;
         if traced {

@@ -1,8 +1,6 @@
 //! End-to-end checkpoint verification against the manifest.
 
-use drms_core::manifest::{
-    array_path, manifest_path, segment_path, task_segment_path, CkptKind, Manifest,
-};
+use drms_core::manifest::{manifest_path, Manifest};
 use drms_obs::{names, Phase, Recorder};
 use drms_piofs::Piofs;
 
@@ -56,26 +54,6 @@ impl VerifyReport {
     }
 }
 
-/// Files the checkpoint kind mandates beyond what integrity records cover
-/// (a v1 manifest has no integrity records at all; a damaged writer could
-/// also have died between data and manifest).
-fn required_files(prefix: &str, m: &Manifest) -> Vec<String> {
-    match m.kind {
-        CkptKind::Drms => std::iter::once(segment_path(prefix))
-            .chain(m.arrays.iter().map(|a| array_path(prefix, &a.name)))
-            .collect(),
-        CkptKind::Spmd => (0..m.ntasks).map(|r| task_segment_path(prefix, r)).collect(),
-        // Incremental checkpoints mandate the segment plus every pack file
-        // their chunk tables point into — including packs of prior
-        // incarnations (a delta chain with missing history cannot restore).
-        CkptKind::DrmsDelta => std::iter::once(segment_path(prefix))
-            .chain(
-                m.deltas.iter().flat_map(|d| d.chunks.iter().map(|c| c.pack_path(prefix, &d.name))),
-            )
-            .collect(),
-    }
-}
-
 /// Verifies the checkpoint under `prefix` end-to-end and reports every
 /// defect found: manifest decode failure, mandated-but-missing files,
 /// unreadable (unreconstructible) files, and chunk-level CRC mismatches.
@@ -114,7 +92,7 @@ fn run_verify(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) -> VerifyRep
         unreadable: Vec::new(),
         corrupt: Vec::new(),
     };
-    for path in required_files(prefix, &m) {
+    for path in m.required_files(prefix) {
         if !fs.exists(&path) {
             report.missing.push(path);
         }
@@ -156,5 +134,57 @@ mod tests {
         let r = verify_checkpoint(&fs, "ck/none", &NullRecorder, 0.0);
         assert!(!r.manifest_ok);
         assert!(!r.is_valid());
+    }
+
+    #[test]
+    fn deleted_pack_is_reported_once_however_many_chunks_use_it() {
+        use drms_core::manifest::{
+            delta_path, segment_path, ArrayDelta, ArrayEntry, ChunkRecord, ChunkSource, CkptKind,
+        };
+        use drms_darray::chunks::Codec;
+        use drms_slices::{Order, Slice};
+
+        let chunk = |i: u64, source: ChunkSource| ChunkRecord {
+            hash: u128::from(i),
+            len: 64,
+            stored_len: 64,
+            codec: Codec::Raw,
+            offset: 64 * i,
+            source,
+        };
+        let old = ChunkSource::Ref { prefix: "ck/0".into(), array: "u".into() };
+        let chunks = (0..8)
+            .map(|i| chunk(i, if i % 2 == 0 { old.clone() } else { ChunkSource::Local }))
+            .collect();
+        let m = Manifest {
+            app: "mini".into(),
+            kind: CkptKind::DrmsDelta,
+            ntasks: 2,
+            sop: 1,
+            arrays: vec![ArrayEntry {
+                name: "u".into(),
+                elem_code: 1,
+                domain: Slice::boxed(&[(0, 63)]),
+                order: Order::ColumnMajor,
+            }],
+            integrity: Vec::new(),
+            deltas: vec![ArrayDelta { name: "u".into(), chunk_bytes: 64, stream_len: 512, chunks }],
+        };
+        assert_eq!(
+            m.required_files("ck/1"),
+            [segment_path("ck/1"), delta_path("ck/0", "u"), delta_path("ck/1", "u")]
+        );
+
+        let fs = Piofs::new(drms_piofs::PiofsConfig::test_tiny(4), 1);
+        fs.preload(&manifest_path("ck/1"), m.encode());
+        for path in m.required_files("ck/1") {
+            fs.preload(&path, vec![0; 512]);
+        }
+        assert!(verify_checkpoint(&fs, "ck/1", &NullRecorder, 0.0).is_valid());
+        assert!(fs.delete(&delta_path("ck/0", "u")));
+        let r = verify_checkpoint(&fs, "ck/1", &NullRecorder, 0.0);
+        assert!(r.manifest_ok);
+        assert_eq!(r.missing, [delta_path("ck/0", "u")]);
+        assert!(!drms_core::checkpoint_is_valid(&fs, "ck/1"));
     }
 }
