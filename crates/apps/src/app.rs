@@ -1,8 +1,9 @@
 //! The runnable mini-application: solver + checkpoint plumbing.
 
+use drms_core::manifest::Manifest;
 use drms_core::report::OpBreakdown;
 use drms_core::segment::{DataSegment, RegionKind, SegmentAnatomy};
-use drms_core::{spmd, CheckpointArray, CoreError, Drms, EnableFlag, Start};
+use drms_core::{spmd, CheckpointArray, CoreError, Drms, EnableFlag, RestartInfo, Start};
 use drms_darray::DistArray;
 use drms_memtier::{MemTier, MemTierError, SpillReport, StoreReport, SEGMENT_FILE};
 use drms_msg::Ctx;
@@ -88,40 +89,18 @@ impl MiniApp {
                         }
                     }
                     Start::Restarted(info) => {
-                        let iter = info.segment.control("iter").unwrap_or(0);
-                        let mut handles: Vec<&mut dyn CheckpointArray> =
-                            fields.iter_mut().map(|f| f as &mut dyn CheckpointArray).collect();
-                        let arrays_time = drms.restore_arrays(
+                        let prefix = restart_from.expect("restarted implies prefix");
+                        let seg_file =
+                            fs.size(&drms_core::manifest::segment_path(prefix)).unwrap_or(0);
+                        MiniApp::restarted(
                             ctx,
-                            fs,
-                            restart_from.expect("restarted implies prefix"),
-                            &info.manifest,
-                            &mut handles,
-                        )?;
-                        // Every task reads the whole shared segment file,
-                        // so the bytes *moved* in the segment phase are
-                        // ntasks x file size — the quantity behind the
-                        // paper's aggregate restore rates (29 -> 55 MB/s).
-                        let seg_file = fs
-                            .size(&drms_core::manifest::segment_path(restart_from.unwrap()))
-                            .unwrap_or(0);
-                        let report = OpBreakdown {
-                            init: info.init_time,
-                            segment: info.segment_time,
-                            arrays: arrays_time,
-                            segment_bytes: seg_file * ctx.ntasks() as u64,
-                            array_bytes: spec.stream_bytes(),
-                        };
-                        MiniApp {
                             spec,
-                            variant,
                             drms,
-                            seg: info.segment,
+                            info,
                             fields,
-                            iter,
-                            spmd_sop: 0,
-                            restart_report: Some(report),
-                        }
+                            seg_file,
+                            |ctx, d, m, a| d.restore_arrays(ctx, fs, prefix, m, a),
+                        )?
                     }
                 }
             }
@@ -275,40 +254,56 @@ impl MiniApp {
         fs.set_residency(ctx.node(), spec.expected_segment_bytes());
 
         let (drms, info) = drms_memtier::resume_from_tier(ctx, fs, tier, cfg, enable, prefix)?;
-        let mut fields = make_fields(&spec, ctx);
-        let iter = info.segment.control("iter").unwrap_or(0);
+        let fields = make_fields(&spec, ctx);
+        let seg_len = tier.file_len(prefix, SEGMENT_FILE)?;
+        let mut app =
+            MiniApp::restarted(ctx, spec, drms, info, fields, seg_len, |ctx, d, m, a| {
+                drms_memtier::restore_arrays_from_tier(ctx, tier, d, prefix, m, a)
+            })?;
+        app.seg.set_control("iter", app.iter);
+        Ok(app)
+    }
+
+    /// A DRMS instance restarted from `info`: `restore` loads `fields`
+    /// (created under the current distributions) and returns the array
+    /// phase time. Every task consumes the whole shared segment of
+    /// `seg_file` bytes, so the segment bytes *moved* are ntasks x its size
+    /// — the quantity behind the paper's aggregate restore rates
+    /// (29 -> 55 MB/s).
+    fn restarted<E>(
+        ctx: &mut Ctx,
+        spec: AppSpec,
+        drms: Drms,
+        info: Box<RestartInfo>,
+        mut fields: Vec<DistArray<f64>>,
+        seg_file: u64,
+        restore: impl FnOnce(
+            &mut Ctx,
+            &Drms,
+            &Manifest,
+            &mut [&mut dyn CheckpointArray],
+        ) -> Result<f64, E>,
+    ) -> Result<MiniApp, E> {
         let mut handles: Vec<&mut dyn CheckpointArray> =
             fields.iter_mut().map(|f| f as &mut dyn CheckpointArray).collect();
-        let arrays_time = drms_memtier::restore_arrays_from_tier(
-            ctx,
-            tier,
-            &drms,
-            prefix,
-            &info.manifest,
-            &mut handles,
-        )?;
-        // Every task consumes the whole shared segment, so segment bytes
-        // moved are ntasks x segment size, as on the PIOFS restart path.
-        let seg_len = tier.file_len(prefix, SEGMENT_FILE)?;
+        let arrays_time = restore(ctx, &drms, &info.manifest, &mut handles)?;
         let report = OpBreakdown {
             init: info.init_time,
             segment: info.segment_time,
             arrays: arrays_time,
-            segment_bytes: seg_len * ctx.ntasks() as u64,
+            segment_bytes: seg_file * ctx.ntasks() as u64,
             array_bytes: spec.stream_bytes(),
         };
-        let mut app = MiniApp {
+        Ok(MiniApp {
             spec,
             variant: AppVariant::Drms,
             drms,
+            iter: info.segment.control("iter").unwrap_or(0),
             seg: info.segment,
             fields,
-            iter,
             spmd_sop: 0,
             restart_report: Some(report),
-        };
-        app.seg.set_control("iter", app.iter);
-        Ok(app)
+        })
     }
 
     /// System-enabled checkpoint (`drms_reconfig_chkenable`); DRMS variant

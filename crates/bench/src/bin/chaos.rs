@@ -29,12 +29,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use drms_bench::campaign::{self, Incarnation};
 use drms_bench::gate::{baseline_gate, run_gated};
 use drms_bench::json::BenchResult;
 use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
-use drms_core::segment::DataSegment;
-use drms_core::{find_checkpoints, CoreError, Drms, DrmsConfig, Start};
-use drms_darray::{DistArray, Distribution};
+use drms_core::{find_checkpoints, CoreError, Drms, DrmsConfig};
 use drms_msg::CostModel;
 use drms_obs::{names, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
@@ -164,39 +163,11 @@ fn run_campaign(plan: FaultPlan) -> Run {
     );
 
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
-                start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
-            }
-        }
+        let Incarnation { mut drms, mut u, mut seg, start_iter } =
+            match campaign::start(ctx, env, APP, &domain()) {
+                Ok(i) => i,
+                Err(outcome) => return outcome,
+            };
         for iter in start_iter..=NITER {
             if env.sop_killed(ctx) {
                 return JobOutcome::Killed;

@@ -43,12 +43,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use drms_bench::campaign::{self, Incarnation};
 use drms_bench::gate::{baseline_gate, run_gated};
 use drms_bench::json::BenchResult;
 use drms_blackbox::{Blackbox, BlackboxConfig};
 use drms_chaos::{ChaosCtl, FaultPlan};
-use drms_core::segment::DataSegment;
-use drms_core::{CoreError, Drms, DrmsConfig, Start};
+use drms_core::{Drms, DrmsConfig};
 use drms_darray::{DistArray, Distribution};
 use drms_insight::{stitch, IncarnationInput, RecoveryReport, StitchOptions, StitchedTimeline};
 use drms_memtier::{store_checkpoint, MemTier};
@@ -207,43 +207,15 @@ fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
     let rc2 = Arc::clone(&rc);
 
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
+        let Incarnation { mut drms, mut u, mut seg, start_iter } =
+            match campaign::start(ctx, env, APP, &domain()) {
+                Ok(i) => i,
+                Err(outcome) => return outcome,
+            };
         // Localized drills run only in the first incarnation; an escalated
         // incarnation would be the full-restart fallback. Derived from the
         // restart state so the collective branch is rank-consistent.
-        let mut may_recover = matches!(start, Start::Fresh);
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
-                start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
-            }
-        }
+        let mut may_recover = env.restart_from.is_none();
         let mut membership = Membership::initial(ctx.ntasks());
         let mut retained = None;
         let mut iter = start_iter;

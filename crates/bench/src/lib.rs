@@ -17,6 +17,7 @@
 
 pub mod args;
 pub mod asyncck;
+pub mod campaign;
 pub mod delta;
 pub mod experiment;
 pub mod gate;

@@ -1,7 +1,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use drms_chaos::{CommitPoints, CrashPoint};
+use drms_chaos::CommitPoints;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
@@ -11,9 +11,9 @@ use crate::handle::{encode_segment, CheckpointArray};
 use crate::inject::crash_point;
 use crate::manifest::{array_path, manifest_path, segment_path, ArrayEntry, CkptKind, Manifest};
 use crate::report::OpBreakdown;
+use crate::restore::FullSource;
 use crate::segment::DataSegment;
 use crate::{CoreError, IoMode, Result};
-use drms_darray::chunks;
 
 /// Static configuration of a DRMS application.
 #[derive(Debug, Clone)]
@@ -115,7 +115,8 @@ impl Drms {
     /// `drms_initialize`: initializes the run-time and, when `restart_from`
     /// names an archived state, reloads it. Every task calls this first;
     /// each receives the full segment (all tasks read the single saved
-    /// segment file, per Section 5).
+    /// segment file, per Section 5). The restart is [`Drms::resume`] over a
+    /// [`FullSource`].
     pub fn initialize(
         ctx: &mut Ctx,
         fs: &Piofs,
@@ -124,155 +125,17 @@ impl Drms {
         restart_from: Option<&str>,
     ) -> Result<(Drms, Start)> {
         let Some(prefix) = restart_from else {
-            return Ok((
-                Drms { cfg, enable, sop: 0, saved_versions: Default::default() },
-                Start::Fresh,
-            ));
+            return Ok((Drms::at_sop(cfg, enable, 0), Start::Fresh));
         };
         let manifest = read_manifest_collective(ctx, fs, prefix)?;
-        match manifest.kind {
-            CkptKind::Drms => {}
-            CkptKind::Spmd => {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "{prefix:?} is a conventional SPMD checkpoint; use spmd::restart"
-                )))
-            }
-            CkptKind::DrmsDelta => {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "{prefix:?} is an incremental checkpoint; restore it through the \
-                     delta crate's resume, which materializes the chunk chain"
-                )))
-            }
-        }
-        if manifest.app != cfg.app {
-            return Err(CoreError::ManifestMismatch(format!(
-                "checkpoint belongs to app {:?}, not {:?}",
-                manifest.app, cfg.app
-            )));
-        }
-
-        // Initialization: load the application text (shared sequential read).
-        ctx.barrier();
-        let t0 = ctx.now();
-        let text = format!("bin/{}", cfg.app);
-        if fs.exists(&text) {
-            let len = fs.size(&text)?;
-            fs.collective_read(
-                ctx,
-                vec![ReadReq { path: text, offset: 0, len, access: ReadAccess::Sequential }],
-            )?;
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::RestartAfterInit, false)?;
-        let t1 = ctx.now();
-
-        // Each task loads the single saved data segment.
-        let seg_path = segment_path(prefix);
-        let len = fs.size(&seg_path)?;
-        let mut got = fs.collective_read(
-            ctx,
-            vec![ReadReq { path: seg_path, offset: 0, len, access: ReadAccess::Sequential }],
-        )?;
-        let seg_bytes = got.pop().expect("one request");
-        // End-to-end verification against the manifest's integrity record:
-        // bytes that survived the file system may still be bytes that rotted
-        // on it. v1 manifests carry no record and skip this.
-        if let Some(fi) = manifest.file_integrity("segment") {
-            if !fi.matches(&seg_bytes) {
-                return Err(CoreError::Integrity(format!(
-                    "segment of {prefix:?} fails checksum verification"
-                )));
-            }
-        }
-        let segment = DataSegment::decode(&seg_bytes)?;
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::RestartAfterSegment, false)?;
-        let t2 = ctx.now();
-        phase_span(ctx, Phase::Init, "load_text", t0, t1);
-        phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
-        // Every task reads the whole shared segment file, so the bytes moved
-        // in this phase are ntasks x file size: record per rank, matching the
-        // aggregate the restart report uses.
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), ctx.rank(), names::SEGMENT_BYTES, None, len);
-        }
-
-        let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
-        let sop = manifest.sop;
-        let info =
-            RestartInfo { manifest, segment, delta, init_time: t1 - t0, segment_time: t2 - t1 };
-        Ok((
-            Drms { cfg, enable, sop, saved_versions: Default::default() },
-            Start::Restarted(Box::new(info)),
-        ))
+        let (drms, info) =
+            Drms::resume(ctx, fs, cfg, enable, &mut FullSource::new(fs, prefix), &manifest)?;
+        Ok((drms, Start::Restarted(info)))
     }
 
-    /// As [`Drms::initialize`], but with the manifest and segment supplied
-    /// by an external source — an in-memory checkpoint tier — instead of
-    /// read from PIOFS files. The application text is still loaded from the
-    /// file system (restart reloads the binary regardless of where the
-    /// checkpointed state lives). `segment_fetch` is called collectively by
-    /// every task and must price its own data movement against the calling
-    /// task's clock.
-    pub fn initialize_external(
-        ctx: &mut Ctx,
-        fs: &Piofs,
-        cfg: DrmsConfig,
-        enable: EnableFlag,
-        manifest: Manifest,
-        segment_fetch: &mut dyn FnMut(&mut Ctx) -> Result<Vec<u8>>,
-    ) -> Result<(Drms, Start)> {
-        if manifest.kind == CkptKind::Spmd {
-            return Err(CoreError::ManifestMismatch(
-                "external restart source holds a conventional SPMD checkpoint".to_string(),
-            ));
-        }
-        if manifest.app != cfg.app {
-            return Err(CoreError::ManifestMismatch(format!(
-                "checkpoint belongs to app {:?}, not {:?}",
-                manifest.app, cfg.app
-            )));
-        }
-
-        // Initialization: load the application text (shared sequential read).
-        ctx.barrier();
-        let t0 = ctx.now();
-        let text = format!("bin/{}", cfg.app);
-        if fs.exists(&text) {
-            let len = fs.size(&text)?;
-            fs.collective_read(
-                ctx,
-                vec![ReadReq { path: text, offset: 0, len, access: ReadAccess::Sequential }],
-            )?;
-        }
-        ctx.barrier();
-        let t1 = ctx.now();
-
-        // Each task fetches the single saved data segment from the source.
-        let seg_bytes = segment_fetch(ctx)?;
-        let segment = DataSegment::decode(&seg_bytes)?;
-        ctx.barrier();
-        let t2 = ctx.now();
-        phase_span(ctx, Phase::Init, "load_text", t0, t1);
-        phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::SEGMENT_BYTES,
-                None,
-                seg_bytes.len() as u64,
-            );
-        }
-
-        let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
-        let sop = manifest.sop;
-        let info =
-            RestartInfo { manifest, segment, delta, init_time: t1 - t0, segment_time: t2 - t1 };
-        Ok((
-            Drms { cfg, enable, sop, saved_versions: Default::default() },
-            Start::Restarted(Box::new(info)),
-        ))
+    /// A handle at SOP `sop` (0 for a fresh start) with no version records.
+    pub(crate) fn at_sop(cfg: DrmsConfig, enable: EnableFlag, sop: u64) -> Drms {
+        Drms { cfg, enable, sop, saved_versions: Default::default() }
     }
 
     /// The configuration in effect.
@@ -448,7 +311,8 @@ impl Drms {
 
     /// Loads every array from an archived state, after the application has
     /// (re-)created them under the current distributions (adjusted when
-    /// `delta != 0`). Returns the array-phase time.
+    /// `delta != 0`): [`Drms::restore_from`] a [`FullSource`]. Returns the
+    /// array-phase time.
     pub fn restore_arrays(
         &self,
         ctx: &mut Ctx,
@@ -457,37 +321,7 @@ impl Drms {
         manifest: &Manifest,
         arrays: &mut [&mut dyn CheckpointArray],
     ) -> Result<f64> {
-        ctx.barrier();
-        let t0 = ctx.now();
-        let io = self.cfg.io.resolve(ctx.ntasks());
-        for a in arrays.iter_mut() {
-            let entry = manifest.array(a.array_name()).ok_or_else(|| {
-                CoreError::ManifestMismatch(format!("checkpoint has no array {:?}", a.array_name()))
-            })?;
-            if entry.elem_code != a.elem_code() {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "array {:?}: element code {} in checkpoint, {} in program",
-                    a.array_name(),
-                    entry.elem_code,
-                    a.elem_code()
-                )));
-            }
-            if &entry.domain != a.domain() {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "array {:?}: domain {} in checkpoint, {} in program",
-                    a.array_name(),
-                    entry.domain,
-                    a.domain()
-                )));
-            }
-            a.read_stream(ctx, fs, &array_path(prefix, a.array_name()), io)?;
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::RestartAfterArrays, false)?;
-        let t1 = ctx.now();
-        phase_span(ctx, Phase::Arrays, "restore_arrays", t0, t1);
-        record_bytes(ctx, 0, arrays.iter().map(|a| a.stream_bytes()).sum());
-        Ok(t1 - t0)
+        self.restore_from(ctx, &mut FullSource::new(fs, prefix), manifest, arrays)
     }
 }
 
@@ -529,33 +363,13 @@ pub fn checkpoint_is_valid(fs: &Piofs, prefix: &str) -> bool {
 /// their recorded content hashes. The referenced incarnation's own
 /// manifest may be long gone, so this reads the pack bytes directly.
 fn delta_chunks_verify(fs: &Piofs, prefix: &str, m: &Manifest) -> bool {
-    let mut packs: std::collections::HashMap<String, Vec<u8>> = Default::default();
-    for d in &m.deltas {
-        for c in &d.chunks {
-            if matches!(c.source, crate::manifest::ChunkSource::Local) {
-                continue;
-            }
-            let path = c.pack_path(prefix, &d.name);
-            let bytes = match packs.entry(path.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => match fs.peek(&path) {
-                    Some(b) => e.insert(b),
-                    None => return false,
-                },
-            };
-            let (start, end) = (c.offset as usize, c.offset as usize + c.stored_len as usize);
-            if end > bytes.len() {
-                return false;
-            }
-            let Some(raw) = chunks::decode_chunk(c.codec, &bytes[start..end]) else {
-                return false;
-            };
-            if raw.len() as u64 != c.len as u64 || chunks::fnv128(&raw) != c.hash {
-                return false;
-            }
-        }
-    }
-    true
+    let mut packs = Default::default();
+    m.deltas.iter().all(|d| {
+        d.chunks.iter().enumerate().all(|(i, c)| {
+            matches!(c.source, crate::manifest::ChunkSource::Local)
+                || d.peek_chunk(fs, prefix, i, &mut packs).is_ok()
+        })
+    })
 }
 
 /// Lists all complete checkpoints on the file system, newest SOP first,

@@ -40,6 +40,7 @@ pub mod commit;
 pub mod manifest;
 pub mod mpmd;
 pub mod report;
+pub mod restore;
 pub mod segment;
 pub mod spmd;
 pub mod wire;

@@ -13,13 +13,17 @@
 //! of every array stream, so mismatched restarts fail loudly instead of
 //! reading garbage.
 
-use drms_darray::chunks::{ChunkParams, Codec};
+use std::collections::hash_map::{Entry, HashMap};
+
+use drms_darray::chunks::{self, ChunkParams, Codec};
+use drms_piofs::Piofs;
 use drms_slices::{Order, Range, Slice};
 
 use crate::handle::CheckpointArray;
 use crate::wire::{
     crc32, crc32_combine, crc32_shift, split_trailing_crc, Reader, WireError, Writer,
 };
+use crate::CoreError;
 
 const MAGIC: [u8; 4] = *b"DMFT";
 /// Current manifest version. v1 had no integrity section and no trailing
@@ -185,6 +189,26 @@ impl ChunkRecord {
             ChunkSource::Ref { prefix, array } => delta_path(prefix, array),
         }
     }
+
+    /// Decodes this chunk's `stored` pack bytes and verifies them against
+    /// the record's length and content hash. `array` and `index` (the
+    /// chunk's position in its table) name the chunk in the error.
+    pub fn decode_verified(
+        &self,
+        stored: &[u8],
+        array: &str,
+        index: usize,
+    ) -> crate::Result<Vec<u8>> {
+        let raw = chunks::decode_chunk(self.codec, stored).ok_or_else(|| {
+            CoreError::Integrity(format!("chunk {index} of array {array:?} fails to decode"))
+        })?;
+        if raw.len() != self.len as usize || chunks::fnv128(&raw) != self.hash {
+            return Err(CoreError::Integrity(format!(
+                "chunk {index} of array {array:?} fails its content hash"
+            )));
+        }
+        Ok(raw)
+    }
 }
 
 /// The delta chunk table of one array stream.
@@ -204,6 +228,42 @@ impl ArrayDelta {
     /// The chunk geometry of this table.
     pub fn params(&self) -> ChunkParams {
         ChunkParams::new(self.chunk_bytes)
+    }
+
+    /// The raw bytes of chunk `index`, cut out of its pack and checked by
+    /// [`ChunkRecord::decode_verified`]. Packs are read from `fs` with
+    /// unpriced peeks and kept in `packs`, so each is read once per cache.
+    /// `prefix` is the checkpoint this table belongs to. Control-plane
+    /// operation (no clock).
+    pub fn peek_chunk(
+        &self,
+        fs: &Piofs,
+        prefix: &str,
+        index: usize,
+        packs: &mut HashMap<String, Vec<u8>>,
+    ) -> crate::Result<Vec<u8>> {
+        let c = &self.chunks[index];
+        let bytes = match packs.entry(c.pack_path(prefix, &self.name)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let b = fs.peek(e.key()).ok_or_else(|| {
+                    CoreError::Integrity(format!(
+                        "pack {} of array {:?} is unreadable",
+                        e.key(),
+                        self.name
+                    ))
+                })?;
+                e.insert(b)
+            }
+        };
+        let stored = bytes.get(c.offset as usize..c.offset as usize + c.stored_len as usize);
+        let stored = stored.ok_or_else(|| {
+            CoreError::Integrity(format!(
+                "chunk {index} of array {:?} is out of bounds in its pack",
+                self.name
+            ))
+        })?;
+        c.decode_verified(stored, &self.name, index)
     }
 }
 

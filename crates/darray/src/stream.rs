@@ -139,6 +139,10 @@ pub fn read_section<T: Element>(
 /// As [`read_section`], with an explicit per-piece byte target. Must match
 /// the target the stream was written with only in that both describe the
 /// same section — the stream bytes themselves are piece-size independent.
+///
+/// This is the read wave loop with a [`file_fetch`] over `path`: serial
+/// streaming (`io_tasks == 1`) reads sequentially, parallel streaming
+/// strided.
 pub fn read_section_with<T: Element>(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -165,45 +169,8 @@ pub fn read_section_with<T: Element>(
         )));
     }
     let access = if plan.io_tasks == 1 { ReadAccess::Sequential } else { ReadAccess::Strided };
-
-    let traced = ctx.recorder().enabled();
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let canonical = plan.canonical(wave, array.domain())?;
-        let mut aux: DistArray<T> =
-            DistArray::new(array.name(), array.order(), canonical, ctx.rank());
-
-        let mut reqs = Vec::new();
-        let my_piece = plan.piece_for(wave, ctx.rank());
-        if let Some(j) = my_piece {
-            if plan.pieces[j].size() > 0 {
-                reqs.push(ReadReq {
-                    path: path.to_string(),
-                    offset: (plan.offsets[j] * T::SIZE) as u64,
-                    len: (plan.pieces[j].size() * T::SIZE) as u64,
-                    access,
-                });
-            }
-        }
-        if traced {
-            let bytes: u64 = reqs.iter().map(|r| r.len).sum();
-            ctx.recorder().counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::BYTES_STREAMED,
-                Some(array.name()),
-                bytes,
-            );
-        }
-        let mut got = fs.collective_read(ctx, reqs).map_err(|e| DarrayError::Io(e.to_string()))?;
-        if let Some(bytes) = got.pop() {
-            decode_into(&bytes, aux.local_mut());
-        }
-        assign(ctx, array, &aux)?;
-    }
-    Ok(())
+    read_waves(ctx, array, &plan, None, Account::Requested, &mut file_fetch(fs, path, access))
+        .map(drop)
 }
 
 /// One locally produced piece of a canonical stream: the piece's index in
@@ -235,7 +202,7 @@ pub fn assemble_pieces(mut pieces: Vec<StreamPiece>) -> Vec<u8> {
     out
 }
 
-/// Byte-range fetch callback for [`read_section_via`]: called as
+/// Byte-range fetch callback for [`read_array_via`]: called as
 /// `fetch(ctx, offset, len)` and must return exactly `len` bytes of the
 /// stream starting at byte `offset`, pricing its own data movement against
 /// the calling task's clock. The callback is invoked **collectively**:
@@ -245,6 +212,24 @@ pub fn assemble_pieces(mut pieces: Vec<StreamPiece>) -> Vec<u8> {
 /// their participants up, which keeps simulated pricing deterministic.
 pub type PieceFetch<'a> =
     dyn FnMut(&mut Ctx, u64, u64) -> std::result::Result<Vec<u8>, String> + 'a;
+
+/// A [`PieceFetch`] over the stream file `path`: each call is one
+/// collective read phase, in which a rank asking for zero bytes takes part
+/// with no request.
+pub fn file_fetch<'a>(
+    fs: &'a Piofs,
+    path: &'a str,
+    access: ReadAccess,
+) -> impl FnMut(&mut Ctx, u64, u64) -> std::result::Result<Vec<u8>, String> + 'a {
+    move |ctx, offset, len| {
+        let mut reqs = Vec::new();
+        if len > 0 {
+            reqs.push(ReadReq { path: path.to_string(), offset, len, access });
+        }
+        let mut got = fs.collective_read(ctx, reqs).map_err(|e| e.to_string())?;
+        Ok(got.pop().unwrap_or_default())
+    }
+}
 
 /// Collective: runs the same redistribution waves as [`write_section`] but
 /// returns this task's canonical stream pieces instead of writing them to a
@@ -314,71 +299,6 @@ pub fn collect_section_pieces<T: Element>(
     Ok(out)
 }
 
-/// Collective: fills `section` of `array` from its canonical stream,
-/// fetching each piece's byte range through `fetch` instead of the file
-/// system. The reader's piece plan need not match the writer's: `fetch` is
-/// given arbitrary `(offset, len)` ranges of the stream and may assemble
-/// them from whatever storage granularity it kept.
-pub fn read_section_via<T: Element>(
-    ctx: &mut Ctx,
-    array: &mut DistArray<T>,
-    section: &Slice,
-    io_tasks: usize,
-    fetch: &mut PieceFetch<'_>,
-) -> Result<()> {
-    let plan = Plan::new(
-        ctx,
-        array.domain(),
-        section,
-        io_tasks,
-        T::SIZE,
-        array.order(),
-        TARGET_PIECE_BYTES,
-    )?;
-    let traced = ctx.recorder().enabled();
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let canonical = plan.canonical(wave, array.domain())?;
-        let mut aux: DistArray<T> =
-            DistArray::new(array.name(), array.order(), canonical, ctx.rank());
-
-        let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
-            Some(j) if plan.pieces[j].size() > 0 => {
-                ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
-            }
-            _ => (0, 0),
-        };
-        // Every rank fetches every wave (see [`PieceFetch`]) so collective
-        // fetchers stay aligned; idle ranks ask for zero bytes.
-        let bytes = fetch(ctx, offset, len).map_err(DarrayError::Io)?;
-        if bytes.len() as u64 != len {
-            return Err(DarrayError::Io(format!(
-                "stream fetch at {offset} returned {} bytes, wanted {len}",
-                bytes.len()
-            )));
-        }
-        if len > 0 {
-            if traced {
-                ctx.recorder().counter_add_at(
-                    ctx.now(),
-                    ctx.rank(),
-                    names::BYTES_STREAMED,
-                    Some(array.name()),
-                    len,
-                );
-            }
-            decode_into(&bytes, aux.local_mut());
-        }
-        assign(ctx, array, &aux)?;
-        if traced {
-            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-    }
-    Ok(())
-}
-
 /// Collective: collects the entire array's canonical stream pieces (the
 /// diskless checkpoint path).
 pub fn collect_array_pieces<T: Element>(
@@ -390,16 +310,21 @@ pub fn collect_array_pieces<T: Element>(
     collect_section_pieces(ctx, array, &section, io_tasks)
 }
 
-/// Collective: fills the entire array from its canonical stream through a
-/// byte-range fetch callback.
+/// Collective: fills the entire array from its canonical stream, fetching
+/// each piece's byte range through `fetch` instead of the file system. The
+/// reader's piece plan need not match the writer's: `fetch` is given
+/// arbitrary `(offset, len)` ranges of the stream and may assemble them
+/// from whatever storage granularity it kept.
 pub fn read_array_via<T: Element>(
     ctx: &mut Ctx,
     array: &mut DistArray<T>,
     io_tasks: usize,
     fetch: &mut PieceFetch<'_>,
 ) -> Result<()> {
-    let section = array.domain().clone();
-    read_section_via(ctx, array, &section, io_tasks, fetch)
+    let domain = array.domain().clone();
+    let plan =
+        Plan::new(ctx, &domain, &domain, io_tasks, T::SIZE, array.order(), TARGET_PIECE_BYTES)?;
+    read_waves(ctx, array, &plan, None, Account::Fetched, fetch).map(drop)
 }
 
 /// Collective: fills only the parts of `array` that overlap one of the
@@ -439,56 +364,12 @@ pub fn read_overlapping_via<T: Element>(
             })
         })
         .collect();
-    let traced = ctx.recorder().enabled();
-    let mut fetched_total = 0u64;
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let canonical = plan.canonical(wave, &domain)?;
-        // Mask the canonical wave distribution to the wanted pieces, so
-        // assign() moves only fetched data into the array.
-        let keep: Vec<bool> = (0..ctx.ntasks())
-            .map(|r| plan.piece_for(wave, r).map(|j| wanted[j]).unwrap_or(false))
-            .collect();
-        let masked = canonical.masked(&keep)?;
-        let mut aux: DistArray<T> = DistArray::new(array.name(), array.order(), masked, ctx.rank());
-
-        let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
-            Some(j) if wanted[j] && plan.pieces[j].size() > 0 => {
-                ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
-            }
-            _ => (0, 0),
-        };
-        let bytes = fetch(ctx, offset, len).map_err(DarrayError::Io)?;
-        if bytes.len() as u64 != len {
-            return Err(DarrayError::Io(format!(
-                "stream fetch at {offset} returned {} bytes, wanted {len}",
-                bytes.len()
-            )));
-        }
-        if len > 0 {
-            fetched_total += len;
-            if traced {
-                ctx.recorder().counter_add_at(
-                    ctx.now(),
-                    ctx.rank(),
-                    names::BYTES_STREAMED,
-                    Some(array.name()),
-                    len,
-                );
-            }
-            decode_into(&bytes, aux.local_mut());
-        }
-        assign(ctx, array, &aux)?;
-        if traced {
-            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-    }
+    let mine = read_waves(ctx, array, &plan, Some(&wanted), Account::Fetched, fetch);
     // Every rank fetched the same piece set, but only the fetching rank
-    // counted its bytes; make the return value the collective total.
-    let (per_rank, _) = ctx.exchange(fetched_total);
-    Ok(per_rank.iter().sum())
+    // counted its bytes; make the return value the collective total, and a
+    // fetch that failed on one rank the error of every rank.
+    let (per_rank, _) = ctx.exchange(mine);
+    per_rank.iter().try_fold(0, |total, r| r.clone().map(|n| total + n))
 }
 
 /// Collective: streams the entire array (the checkpoint path).
@@ -513,6 +394,103 @@ pub fn read_array<T: Element>(
 ) -> Result<()> {
     let section = array.domain().clone();
     read_section(ctx, fs, array, &section, path, io_tasks)
+}
+
+/// When the read wave loop counts a wave's bytes into
+/// [`names::BYTES_STREAMED`].
+#[derive(Clone, Copy)]
+enum Account {
+    /// Before the fetch, on every rank (zero on idle ones), as the stream
+    /// writer counts: the PIOFS file reader.
+    Requested,
+    /// After a fetch that returned its bytes, on the fetching ranks only:
+    /// the range readers over other storage.
+    Fetched,
+}
+
+/// The read wave loop every stream reader runs: for each wave of `plan`,
+/// this task fetches its piece's byte range through `fetch` (zero bytes
+/// when it holds no piece, or none that `wanted` keeps) into the wave's
+/// canonical distribution, which is then redistributed into `array` —
+/// masked to the wanted pieces, so unfetched ones never clobber live data.
+///
+/// A failed fetch does not end the loop: the task keeps its first error,
+/// still fetches and redistributes every later wave so its siblings never
+/// wait on it, and returns the error once the waves are done. Errors of
+/// the plan and the redistribution, which every task meets alike, return
+/// at once. Returns the bytes this task fetched.
+fn read_waves<T: Element>(
+    ctx: &mut Ctx,
+    array: &mut DistArray<T>,
+    plan: &Plan,
+    wanted: Option<&[bool]>,
+    account: Account,
+    fetch: &mut PieceFetch<'_>,
+) -> Result<u64> {
+    let traced = ctx.recorder().enabled();
+    let name = array.name().to_owned();
+    let count = |ctx: &Ctx, bytes: u64| {
+        if traced {
+            let rec = ctx.recorder();
+            rec.counter_add_at(ctx.now(), ctx.rank(), names::BYTES_STREAMED, Some(&name), bytes);
+        }
+    };
+    let wants = |j: usize| wanted.is_none_or(|w| w[j]);
+    let mut fetched = 0u64;
+    let mut first_err = None;
+    for wave in 0..plan.waves() {
+        if traced {
+            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
+        }
+        let mut wave_io = || -> Result<()> {
+            let mut canonical = plan.canonical(wave, array.domain())?;
+            if wanted.is_some() {
+                let keep: Vec<bool> =
+                    (0..ctx.ntasks()).map(|r| plan.piece_for(wave, r).is_some_and(wants)).collect();
+                canonical = canonical.masked(&keep)?;
+            }
+            let mut aux: DistArray<T> =
+                DistArray::new(array.name(), array.order(), canonical, ctx.rank());
+            let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
+                Some(j) if wants(j) && plan.pieces[j].size() > 0 => {
+                    ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
+                }
+                _ => (0, 0),
+            };
+            if matches!(account, Account::Requested) {
+                count(ctx, len);
+            }
+            // Every rank fetches every wave (see [`PieceFetch`]) so collective
+            // fetchers stay aligned; idle ranks ask for zero bytes.
+            match fetch(ctx, offset, len) {
+                Ok(bytes) if bytes.len() as u64 == len => {
+                    if len > 0 {
+                        fetched += len;
+                        if matches!(account, Account::Fetched) {
+                            count(ctx, len);
+                        }
+                        decode_into(&bytes, aux.local_mut());
+                    }
+                }
+                Ok(bytes) => {
+                    first_err.get_or_insert(DarrayError::Io(format!(
+                        "stream fetch at {offset} returned {} bytes, wanted {len}",
+                        bytes.len()
+                    )));
+                }
+                Err(e) => {
+                    first_err.get_or_insert(DarrayError::Io(e));
+                }
+            }
+            assign(ctx, array, &aux)
+        };
+        let done = wave_io();
+        if traced {
+            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
+        }
+        done?;
+    }
+    first_err.map_or(Ok(fetched), Err)
 }
 
 /// The streaming plan shared by write and read: pieces, offsets, waves.

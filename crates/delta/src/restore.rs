@@ -1,109 +1,59 @@
 //! Restart from a committed delta chain: bitwise materialization of each
 //! array's canonical stream out of the chunk graph.
 
-use drms_core::chaos::CrashPoint;
-use drms_core::crash_point;
-use drms_core::manifest::{segment_path, ArrayDelta, CkptKind, Manifest};
+use drms_core::manifest::{ArrayDelta, Manifest};
+use drms_core::restore::{read_segment, RestoreSource, SourceKind};
 use drms_core::{
     read_manifest_collective, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result,
     Start,
 };
-use drms_darray::chunks::{decode_chunk, fnv128, ChunkParams};
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
 
-/// `drms_initialize` for a delta chain: reads the committed v3 manifest at
-/// `prefix`, verifies and loads the shared data segment, and returns the
-/// run-time handle plus the restart info — exactly like
-/// [`Drms::initialize`], which refuses delta manifests and points here.
-/// Restoring the arrays themselves is [`restore_arrays_delta`].
-pub fn resume(
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    cfg: DrmsConfig,
-    enable: EnableFlag,
-    prefix: &str,
-) -> Result<(Drms, Start)> {
-    let manifest = read_manifest_collective(ctx, fs, prefix)?;
-    if manifest.kind != CkptKind::DrmsDelta {
-        return Err(CoreError::ManifestMismatch(format!(
-            "{prefix:?} is not an incremental checkpoint; use Drms::initialize"
-        )));
-    }
-    let verify_against = manifest.clone();
-    let seg_path = segment_path(prefix);
-    let mut fetch = move |ctx: &mut Ctx| -> Result<Vec<u8>> {
-        let len = fs.size(&seg_path)?;
-        let mut got = fs.collective_read(
-            ctx,
-            vec![ReadReq {
-                path: seg_path.clone(),
-                offset: 0,
-                len,
-                access: ReadAccess::Sequential,
-            }],
-        )?;
-        let bytes = got.pop().expect("one request");
-        if let Some(fi) = verify_against.file_integrity("segment") {
-            if !fi.matches(&bytes) {
-                return Err(CoreError::Integrity(format!(
-                    "segment of {} fails checksum verification",
-                    verify_against.app
-                )));
-            }
-        }
-        Ok(bytes)
-    };
-    Drms::initialize_external(ctx, fs, cfg, enable, manifest, &mut fetch)
+/// A committed delta chain on PIOFS, as a restore source: each fetched
+/// stream range is assembled chunk by chunk out of the packs its chunk
+/// table names, every chunk decoded and hash-verified before a byte of it
+/// is returned.
+pub struct DeltaSource<'a> {
+    fs: &'a Piofs,
+    prefix: &'a str,
+    manifest: &'a Manifest,
 }
 
-/// Loads every array from a committed delta chain, after the application
-/// has (re-)created them under the current distributions (any task count —
-/// the chunked stream is the same distribution-independent representation
-/// full checkpoints use, so restore is reconfigurable). Each fetched range
-/// is assembled chunk by chunk: the covering pack reads run as collective
-/// phases (priced deterministically across the region), each chunk is
-/// decompressed, and its content hash is verified before a single byte
-/// reaches the array. Returns the array-phase time.
-pub fn restore_arrays_delta(
-    drms: &Drms,
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    prefix: &str,
-    manifest: &Manifest,
-    arrays: &mut [&mut dyn CheckpointArray],
-) -> Result<f64> {
-    ctx.barrier();
-    let t0 = ctx.now();
-    let io = drms.cfg().io.resolve(ctx.ntasks());
-    let mut restored: u64 = 0;
-    for a in arrays.iter_mut() {
-        let entry = manifest.array(a.array_name()).ok_or_else(|| {
-            CoreError::ManifestMismatch(format!("checkpoint has no array {:?}", a.array_name()))
-        })?;
-        if entry.elem_code != a.elem_code() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: element code {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.elem_code,
-                a.elem_code()
-            )));
-        }
-        if &entry.domain != a.domain() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: domain {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.domain,
-                a.domain()
-            )));
-        }
-        let d = manifest.delta(a.array_name()).ok_or_else(|| {
-            CoreError::ManifestMismatch(format!(
-                "delta checkpoint has no chunk table for array {:?}",
-                a.array_name()
-            ))
-        })?;
+impl<'a> DeltaSource<'a> {
+    /// The delta chain committed under `prefix` with `manifest`.
+    pub fn new(fs: &'a Piofs, prefix: &'a str, manifest: &'a Manifest) -> DeltaSource<'a> {
+        DeltaSource { fs, prefix, manifest }
+    }
+}
+
+impl RestoreSource for DeltaSource<'_> {
+    fn kind(&self) -> &'static SourceKind {
+        &SourceKind::DELTA
+    }
+
+    fn fs(&self) -> Option<&Piofs> {
+        Some(self.fs)
+    }
+
+    fn segment(&mut self, ctx: &mut Ctx, manifest: &Manifest) -> Result<Vec<u8>> {
+        read_segment(ctx, self.fs, self.prefix, manifest)
+    }
+
+    fn fetch(
+        &mut self,
+        ctx: &mut Ctx,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> std::result::Result<Vec<u8>, String> {
+        chunk_table(self.manifest, array)
+            .and_then(|d| fetch_stream_range(ctx, self.fs, self.prefix, d, off, len))
+            .map_err(|e| e.to_string())
+    }
+
+    fn read_array(&mut self, ctx: &mut Ctx, a: &mut dyn CheckpointArray, io: usize) -> Result<()> {
+        let d = chunk_table(self.manifest, a.array_name())?;
         if d.stream_len != a.stream_bytes() {
             return Err(CoreError::ManifestMismatch(format!(
                 "array {:?}: stream is {} bytes in checkpoint, {} in program",
@@ -112,44 +62,52 @@ pub fn restore_arrays_delta(
                 a.stream_bytes()
             )));
         }
-        let params = d.params();
-        let mut fetch = |ctx: &mut Ctx, off: u64, len: u64| {
-            fetch_stream_range(ctx, fs, prefix, d, params, off, len).map_err(|e| e.to_string())
-        };
-        a.read_stream_via(ctx, io, &mut fetch)?;
-        restored += d.stream_len;
+        let (fs, prefix) = (self.fs, self.prefix);
+        a.read_stream_via(ctx, io, &mut |ctx, off, len| {
+            fetch_stream_range(ctx, fs, prefix, d, off, len).map_err(|e| e.to_string())
+        })
     }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::RestartAfterArrays, false)?;
-    let t1 = ctx.now();
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.span_start(t0, 0, Phase::Arrays, "restore_arrays_delta");
-        rec.span_end(t1, 0, Phase::Arrays, "restore_arrays_delta");
-        rec.counter_add_at(t1, 0, names::ARRAY_BYTES, None, restored);
-    }
-    Ok(t1 - t0)
 }
 
-/// Assembles `[off, off + len)` of an array's canonical stream from a
-/// committed delta chain (collective — every rank must call, idle ranks
-/// with `len == 0`). This is the range-limited materialization localized
-/// recovery uses as its PIOFS fallback for incremental checkpoints: only
-/// the chunks covering a *lost* section's byte range are read and
-/// verified, never the whole chain.
-pub fn fetch_delta_range(
+/// The chunk table of `array` in a delta manifest.
+fn chunk_table<'m>(manifest: &'m Manifest, array: &str) -> Result<&'m ArrayDelta> {
+    manifest.delta(array).ok_or_else(|| {
+        CoreError::ManifestMismatch(format!("delta checkpoint has no chunk table for {array:?}"))
+    })
+}
+
+/// `drms_initialize` for a delta chain: reads the committed v3 manifest at
+/// `prefix` and runs [`Drms::resume`] over a [`DeltaSource`], which
+/// verifies and loads the shared data segment. [`Drms::initialize`] refuses
+/// delta manifests and points here. Restoring the arrays themselves is
+/// [`restore_arrays_delta`].
+pub fn resume(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    cfg: DrmsConfig,
+    enable: EnableFlag,
+    prefix: &str,
+) -> Result<(Drms, Start)> {
+    let manifest = read_manifest_collective(ctx, fs, prefix)?;
+    let mut source = DeltaSource::new(fs, prefix, &manifest);
+    let (drms, info) = Drms::resume(ctx, fs, cfg, enable, &mut source, &manifest)?;
+    Ok((drms, Start::Restarted(info)))
+}
+
+/// Loads every array from a committed delta chain, after the application
+/// has (re-)created them under the current distributions (any task count —
+/// the chunked stream is the same distribution-independent representation
+/// full checkpoints use, so restore is reconfigurable): [`Drms::restore_from`]
+/// a [`DeltaSource`]. Returns the array-phase time.
+pub fn restore_arrays_delta(
+    drms: &Drms,
     ctx: &mut Ctx,
     fs: &Piofs,
     prefix: &str,
     manifest: &Manifest,
-    array: &str,
-    off: u64,
-    len: u64,
-) -> Result<Vec<u8>> {
-    let d = manifest.delta(array).ok_or_else(|| {
-        CoreError::ManifestMismatch(format!("delta checkpoint has no chunk table for {array:?}"))
-    })?;
-    fetch_stream_range(ctx, fs, prefix, d, d.params(), off, len)
+    arrays: &mut [&mut dyn CheckpointArray],
+) -> Result<f64> {
+    drms.restore_from(ctx, &mut DeltaSource::new(fs, prefix, manifest), manifest, arrays)
 }
 
 /// Assembles `[off, off + len)` of an array's canonical stream from its
@@ -165,10 +123,10 @@ fn fetch_stream_range(
     fs: &Piofs,
     prefix: &str,
     d: &ArrayDelta,
-    params: ChunkParams,
     off: u64,
     len: u64,
 ) -> Result<Vec<u8>> {
+    let params = d.params();
     if off + len > d.stream_len {
         return Err(CoreError::Integrity(format!(
             "array {:?}: fetch {off}+{len} past stream length {}",
@@ -200,8 +158,7 @@ fn fetch_stream_range(
     let got = fs.collective_read(ctx, reqs)?;
     let mut out = Vec::with_capacity(len as usize);
     for (stored, i) in got.iter().zip(idxs) {
-        let c = &d.chunks[i];
-        let raw = decode_and_verify(c, stored, &d.name, i)?;
+        let raw = d.chunks[i].decode_verified(stored, &d.name, i)?;
         let (s, _) = params.range(d.stream_len, i);
         let lo = (off.max(s) - s) as usize;
         let hi = ((off + len).min(s + raw.len() as u64) - s) as usize;
@@ -227,30 +184,11 @@ pub fn materialize_stream(
     manifest: &Manifest,
     array: &str,
 ) -> Result<Vec<u8>> {
-    let d = manifest.delta(array).ok_or_else(|| {
-        CoreError::ManifestMismatch(format!("delta checkpoint has no chunk table for {array:?}"))
-    })?;
-    let mut packs: std::collections::HashMap<String, Vec<u8>> = Default::default();
+    let d = chunk_table(manifest, array)?;
+    let mut packs = Default::default();
     let mut out = Vec::with_capacity(d.stream_len as usize);
-    for (i, c) in d.chunks.iter().enumerate() {
-        let path = c.pack_path(prefix, &d.name);
-        let bytes = match packs.entry(path.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let b = fs.peek(&path).ok_or_else(|| {
-                    CoreError::Integrity(format!("pack {path} of array {array:?} is unreadable"))
-                })?;
-                e.insert(b)
-            }
-        };
-        let (start, end) = (c.offset as usize, (c.offset + c.stored_len as u64) as usize);
-        if end > bytes.len() {
-            return Err(CoreError::Integrity(format!(
-                "chunk {i} of array {array:?} is out of bounds in pack {path}"
-            )));
-        }
-        let raw = decode_and_verify(c, &bytes[start..end], array, i)?;
-        out.extend_from_slice(&raw);
+    for i in 0..d.chunks.len() {
+        out.extend_from_slice(&d.peek_chunk(fs, prefix, i, &mut packs)?);
     }
     if out.len() as u64 != d.stream_len {
         return Err(CoreError::Integrity(format!(
@@ -260,22 +198,4 @@ pub fn materialize_stream(
         )));
     }
     Ok(out)
-}
-
-/// Decodes one stored chunk and verifies its length and content hash.
-fn decode_and_verify(
-    c: &drms_core::manifest::ChunkRecord,
-    stored: &[u8],
-    array: &str,
-    i: usize,
-) -> Result<Vec<u8>> {
-    let raw = decode_chunk(c.codec, stored).ok_or_else(|| {
-        CoreError::Integrity(format!("chunk {i} of array {array:?} fails to decode"))
-    })?;
-    if raw.len() != c.len as usize || fnv128(&raw) != c.hash {
-        return Err(CoreError::Integrity(format!(
-            "chunk {i} of array {array:?} fails its content hash"
-        )));
-    }
-    Ok(raw)
 }

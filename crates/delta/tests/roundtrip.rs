@@ -3,6 +3,7 @@
 //! count, bitwise identical to the uninterrupted run.
 
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use drms_core::manifest::{delta_path, ChunkSource, CkptKind};
 use drms_core::segment::DataSegment;
@@ -321,4 +322,44 @@ fn fresh_prefix_is_required() {
         }
     })
     .unwrap();
+}
+
+#[test]
+fn a_rotten_referenced_chunk_fails_every_rank_at_once() {
+    let f = fs();
+    let reports = Mutex::new(Vec::new());
+    run_app(&f, 4, None, &[3, 6], 6, &dcfg(), &reports);
+    // Flip one byte of a chunk the head link reads out of its parent's pack.
+    let (_, m) =
+        find_checkpoints(&f, Some("mini")).into_iter().find(|(p, _)| p == "ck/d6").unwrap();
+    let (i, c) = m
+        .delta("u")
+        .unwrap()
+        .chunks
+        .iter()
+        .enumerate()
+        .find(|(_, c)| matches!(c.source, ChunkSource::Ref { .. }))
+        .expect("the head link references its parent");
+    let path = c.pack_path("ck/d6", "u");
+    let mut pack = f.peek(&path).unwrap();
+    pack[c.offset as usize] ^= 0x40;
+    f.preload(&path, pack);
+
+    let began = Instant::now();
+    let errs = run_spmd(3, CostModel::default(), |ctx| {
+        let (drms, start) = resume(ctx, &f, cfg(), EnableFlag::new(), "ck/d6").unwrap();
+        let Start::Restarted(info) = start else { panic!("expected restart") };
+        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        restore_arrays_delta(&drms, ctx, &f, "ck/d6", &info.manifest, &mut [&mut u])
+            .expect_err("a rotten chunk restored")
+            .to_string()
+    })
+    .unwrap();
+    assert!(began.elapsed() < Duration::from_secs(5), "ranks waited on the failing one");
+    let chunk = format!("chunk {i} of array \"u\"");
+    for e in &errs {
+        assert!(e.contains(&chunk), "error does not name {chunk}: {e}");
+    }
+    assert!(errs.iter().all(|e| e == &errs[0]), "ranks disagree: {errs:?}");
 }

@@ -1,72 +1,108 @@
 //! Restart served out of the memory tier.
 //!
-//! `resume_from_tier` mirrors `Drms::initialize` and
-//! `restore_arrays_from_tier` mirrors `Drms::restore_arrays`, but segment
-//! and array bytes come from resident tier pieces instead of PIOFS files.
-//! Pricing is where the tier earns its keep: a piece held on the reading
-//! task's own node moves at memory-copy bandwidth; a remote piece pays one
-//! message latency plus wire time — both far ahead of PIOFS client read
-//! bandwidth, which is the whole point of the tier.
+//! [`TierSource`] is the memory tier as a restore source: `resume_from_tier`
+//! and `restore_arrays_from_tier` run the same restore pipeline as
+//! `Drms::initialize` and `Drms::restore_arrays`, but segment and array
+//! bytes come from resident tier pieces instead of PIOFS files. Pricing is
+//! where the tier earns its keep: a piece held on the reading task's own
+//! node moves at memory-copy bandwidth; a remote piece pays one message
+//! latency plus wire time — both far ahead of PIOFS client read bandwidth,
+//! which is the whole point of the tier.
 
 use drms_core::manifest::Manifest;
-use drms_core::{CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo, Start};
+use drms_core::restore::{RestoreSource, SourceKind};
+use drms_core::{CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo};
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::names;
 use drms_piofs::Piofs;
 
 use crate::store::{array_file, SEGMENT_FILE};
 use crate::tier::MemTier;
 use crate::{MemTierError, Result};
 
-/// Charges the caller's clock for fetched tier pieces: local holders move
-/// at memory-copy bandwidth, remote holders pay latency plus wire time.
-/// Public so that recovery-time section fetches price identically to a
-/// full tier restore.
-pub fn price_fetch(ctx: &mut Ctx, sources: &[(usize, u64)]) {
-    let cost = *ctx.cost();
-    let my = ctx.node();
-    let mut dt = 0.0;
-    for &(node, bytes) in sources {
-        if node == my {
-            dt += bytes as f64 / cost.memcpy_bw;
-        } else {
-            dt += cost.latency + cost.wire_time(bytes as usize);
-        }
-    }
-    ctx.charge(dt);
+/// The tier entry under a prefix, as a restore source. Its pieces carry
+/// their own CRCs, so the segment needs no manifest check; a tier error
+/// met while serving the segment is kept, so a resume can report it as
+/// itself.
+pub struct TierSource<'a> {
+    tier: &'a MemTier,
+    prefix: &'a str,
+    err: Option<MemTierError>,
 }
 
-/// Fetches `[off, off + len)` of an array's checkpoint stream out of the
-/// tier entry under `prefix`, priced like any other tier read and counted
-/// against `memtier.restore_bytes`. A zero-length request returns an empty
-/// buffer without touching the tier — the collective fetch convention for
-/// ranks that have nothing to read this wave. This is the section-granular
-/// read localized recovery uses: only the byte ranges of *lost* sections
-/// are pulled, never the whole stream.
-pub fn fetch_array_range(
-    ctx: &mut Ctx,
-    tier: &MemTier,
-    prefix: &str,
-    array: &str,
-    off: u64,
-    len: u64,
-) -> Result<Vec<u8>> {
-    if len == 0 {
-        return Ok(Vec::new());
+impl<'a> TierSource<'a> {
+    /// The tier entry under `prefix`.
+    pub fn new(tier: &'a MemTier, prefix: &'a str) -> TierSource<'a> {
+        TierSource { tier, prefix, err: None }
     }
-    let f = tier.fetch(prefix, &array_file(array), off, len)?;
-    price_fetch(ctx, &f.sources);
-    if ctx.recorder().enabled() {
-        ctx.recorder().counter_add(ctx.rank(), names::MEMTIER_RESTORE_BYTES, None, len);
+
+    /// Serves `[off, off + len)` of `file` out of resident pieces, charged
+    /// to the caller's clock — a local holder moves at memory-copy
+    /// bandwidth, a remote one pays latency plus wire time — and counted
+    /// against `memtier.restore_bytes`.
+    fn read(&self, ctx: &mut Ctx, file: &str, off: u64, len: u64) -> Result<Vec<u8>> {
+        let f = self.tier.fetch(self.prefix, file, off, len)?;
+        let cost = *ctx.cost();
+        let my = ctx.node();
+        let mut dt = 0.0;
+        for &(node, bytes) in &f.sources {
+            if node == my {
+                dt += bytes as f64 / cost.memcpy_bw;
+            } else {
+                dt += cost.latency + cost.wire_time(bytes as usize);
+            }
+        }
+        ctx.charge(dt);
+        if ctx.recorder().enabled() {
+            ctx.recorder().counter_add(ctx.rank(), names::MEMTIER_RESTORE_BYTES, None, len);
+        }
+        Ok(f.data)
     }
-    Ok(f.data)
+}
+
+impl RestoreSource for TierSource<'_> {
+    fn kind(&self) -> &'static SourceKind {
+        &SourceKind::TIER
+    }
+
+    fn fs(&self) -> Option<&Piofs> {
+        None
+    }
+
+    fn segment(&mut self, ctx: &mut Ctx, _manifest: &Manifest) -> drms_core::Result<Vec<u8>> {
+        let read = self
+            .tier
+            .file_len(self.prefix, SEGMENT_FILE)
+            .and_then(|len| self.read(ctx, SEGMENT_FILE, 0, len));
+        read.map_err(|e| {
+            let msg = e.to_string();
+            self.err = Some(e);
+            CoreError::Integrity(msg)
+        })
+    }
+
+    /// A zero-length request returns an empty buffer without touching the
+    /// tier: tier reads price locally, so there is no phase to line up with.
+    fn fetch(
+        &mut self,
+        ctx: &mut Ctx,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> std::result::Result<Vec<u8>, String> {
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        self.read(ctx, &array_file(array), off, len).map_err(|e| e.to_string())
+    }
 }
 
 /// `drms_initialize` against the memory tier (collective): checks the entry
-/// is intact for the surviving node set, reloads the application text from
-/// the file system, and serves the representative data segment out of
-/// resident pieces. Returns the run-time handle and the restart info —
-/// a tier resume is always a restart, never a fresh start.
+/// is intact for the surviving node set, then runs [`Drms::resume`] over a
+/// [`TierSource`], which reloads the application text from the file system
+/// and serves the representative data segment out of resident pieces.
+/// Returns the run-time handle and the restart info — a tier resume is
+/// always a restart, never a fresh start.
 pub fn resume_from_tier(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -79,46 +115,16 @@ pub fn resume_from_tier(
         return Err(MemTierError::NotIntact(format!("{prefix:?} cannot serve a restart")));
     }
     let manifest = tier.manifest(prefix)?;
-    let seg_len = tier.file_len(prefix, SEGMENT_FILE)?;
-    let mut tier_err: Option<MemTierError> = None;
-    let res =
-        Drms::initialize_external(ctx, fs, cfg, enable, manifest, &mut |ctx| match tier.fetch(
-            prefix,
-            SEGMENT_FILE,
-            0,
-            seg_len,
-        ) {
-            Ok(f) => {
-                price_fetch(ctx, &f.sources);
-                if ctx.recorder().enabled() {
-                    ctx.recorder().counter_add(
-                        ctx.rank(),
-                        names::MEMTIER_RESTORE_BYTES,
-                        None,
-                        seg_len,
-                    );
-                }
-                Ok(f.data)
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                tier_err = Some(e);
-                Err(CoreError::Integrity(msg))
-            }
-        });
-    match res {
-        Ok((drms, Start::Restarted(info))) => Ok((drms, info)),
-        Ok((_, Start::Fresh)) => {
-            unreachable!("initialize_external always resumes from the supplied manifest")
-        }
-        Err(e) => Err(tier_err.take().unwrap_or(MemTierError::Core(e))),
-    }
+    let mut source = TierSource::new(tier, prefix);
+    Drms::resume(ctx, fs, cfg, enable, &mut source, &manifest)
+        .map_err(|e| source.err.take().unwrap_or(MemTierError::Core(e)))
 }
 
 /// Loads every array from the tier entry under `prefix` (collective), after
-/// the application has re-created them under the current distributions.
-/// Validates each array against the manifest exactly like
-/// [`Drms::restore_arrays`] and returns the array-phase time.
+/// the application has re-created them under the current distributions:
+/// [`Drms::restore_from`] a [`TierSource`], which validates each array
+/// against the manifest exactly like [`Drms::restore_arrays`]. Returns the
+/// array-phase time.
 pub fn restore_arrays_from_tier(
     ctx: &mut Ctx,
     tier: &MemTier,
@@ -127,59 +133,5 @@ pub fn restore_arrays_from_tier(
     manifest: &Manifest,
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<f64> {
-    ctx.barrier();
-    let t0 = ctx.now();
-    let io = drms.cfg().io.resolve(ctx.ntasks());
-    let mut total = 0u64;
-    for a in arrays.iter_mut() {
-        let entry = manifest.array(a.array_name()).ok_or_else(|| {
-            CoreError::ManifestMismatch(format!("checkpoint has no array {:?}", a.array_name()))
-        })?;
-        if entry.elem_code != a.elem_code() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: element code {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.elem_code,
-                a.elem_code()
-            ))
-            .into());
-        }
-        if &entry.domain != a.domain() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: domain {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.domain,
-                a.domain()
-            ))
-            .into());
-        }
-        total += a.stream_bytes();
-        let file = array_file(a.array_name());
-        let mut fetch = |ctx: &mut Ctx, off: u64, len: u64| {
-            if len == 0 {
-                // Collective convention: ranks without a piece this wave
-                // still call, asking for nothing (tier reads price locally,
-                // so there is no phase to line up with).
-                return Ok(Vec::new());
-            }
-            let f = tier.fetch(prefix, &file, off, len).map_err(|e| e.to_string())?;
-            price_fetch(ctx, &f.sources);
-            if ctx.recorder().enabled() {
-                ctx.recorder().counter_add(ctx.rank(), names::MEMTIER_RESTORE_BYTES, None, len);
-            }
-            Ok(f.data)
-        };
-        a.read_stream_via(ctx, io, &mut fetch)?;
-    }
-    ctx.barrier();
-    let t1 = ctx.now();
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.span_start(t0, 0, Phase::Arrays, "restore_arrays");
-        rec.span_end(t1, 0, Phase::Arrays, "restore_arrays");
-        rec.span_start(t0, 0, Phase::MemTier, "restore");
-        rec.span_end(t1, 0, Phase::MemTier, "restore");
-        rec.counter_add(0, names::ARRAY_BYTES, None, total);
-    }
-    Ok(t1 - t0)
+    Ok(drms.restore_from(ctx, &mut TierSource::new(tier, prefix), manifest, arrays)?)
 }

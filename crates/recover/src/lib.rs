@@ -13,10 +13,11 @@
 //!   ([`retain`], a memcpy-priced copy at each commit) and reinstate them
 //!   without touching the network or storage.
 //! * Only the **lost ranks' sections** are fetched, through an escalation
-//!   ladder: memory-tier replicas first ([`drms_memtier::fetch_array_range`],
-//!   no storage round-trip), then range-limited PIOFS reads of the
-//!   committed checkpoint (full streams or delta chains via
-//!   [`drms_delta::fetch_delta_range`]), and — when neither can serve —
+//!   ladder whose rung picks the restore source: memory-tier replicas
+//!   first ([`drms_memtier::TierSource`], no storage round-trip), then
+//!   range-limited PIOFS reads of the committed checkpoint
+//!   ([`drms_core::restore::FullSource`] or
+//!   [`drms_delta::DeltaSource`]), and — when neither can serve —
 //!   escalation to the ordinary verified full restart
 //!   ([`RecoverError::Escalate`]).
 //! * Distributions are re-adjusted **online**: the arrays re-partition onto
